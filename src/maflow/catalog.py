@@ -15,24 +15,14 @@ from typing import Callable
 import numpy as np
 
 from . import curvature, fluids, ma4, ma6, reduction
-from .exterior import DifferentialForm, sup_norm
+from .exterior import DifferentialForm, sampled_max, sup_norm
 from .fieldexpr import ScalarField
 from .fieldexpr.parse import parse_field
 from .report import CheckResult, Report
 from .sampling import RunConfig, sample_points
 
-STRUCTURE_NAMES_4D = ("euler2d",)
 STRUCTURE_NAMES_6D = ("hess1", "speciallag", "burgers-cy", "euler-pair")
 METRIC_NAMES = ("burgers-cy", "hess1", "speciallag")
-
-
-def structure4(name: str, a: ScalarField | str | float | None = None) -> ma4.MAStructure4:
-    if name != "euler2d":
-        raise ValueError(f"unknown 4d structure {name!r}")
-    if a is None:
-        raise ValueError("structure euler2d needs a coefficient")
-    coeff = a if isinstance(a, (ScalarField, str)) else repr(float(a))
-    return ma4.flow_structure(coeff)
 
 
 def structure6(name: str, a: ScalarField | str | float | None = None):
@@ -84,19 +74,19 @@ def _vec_flow_pfaffians(config: RunConfig, inject: bool) -> CheckResult:
     sign = -1.0 if inject else 1.0
     pf = s.pfaffian
     pf_dual = s.dual_structure().pfaffian
-    worst = 0.0
-    for p in points:
-        worst = max(worst, abs(pf.eval(p) - sign * a.eval(p)))
-        worst = max(worst, abs(pf_dual.eval(p) + sign * a.eval(p)))
+    worst = sampled_max(
+        points,
+        lambda p: [pf.eval(p) - sign * a.eval(p), pf_dual.eval(p) + sign * a.eval(p)],
+    ).value
     return CheckResult("flow-pfaffians", worst < 1e-12, worst, 1e-12)
 
 
 def _vec_triple_algebra(config: RunConfig, inject: bool) -> CheckResult:
     points = _points(4, config)
-    worst = 0.0
-    for coeff in ("-2", "1 + x1^2"):
-        rel = ma4.triple_relations(ma4.flow_structure(coeff), points)
-        worst = max(worst, rel["max_residual"])
+    worst = max(
+        ma4.triple_relations(ma4.flow_structure(coeff), points)["max_residual"]
+        for coeff in ("-2", "1 + x1^2")
+    )
     return CheckResult("triple-algebra", worst < 1e-10, worst, 1e-10)
 
 
@@ -119,7 +109,7 @@ def _vec_vortex_invariant(config: RunConfig, inject: bool) -> CheckResult:
     s = ma6.burgers_structure("x1^2 + x2^2")
     points = _points(6, config)
     lam = s.pfaffian
-    worst = max(abs(lam.eval(p) - 1.0) for p in points)
+    worst = sampled_max(points, lambda p: lam.eval(p) - 1.0).value
     return CheckResult("vortex-invariant", worst < 1e-12, worst, 1e-12)
 
 
@@ -127,11 +117,13 @@ def _vec_vortex_tensor(config: RunConfig, inject: bool) -> CheckResult:
     s = ma6.burgers_structure("x1^2 + x2^2")
     a = parse_field("x1^2 + x2^2", s.chart)
     points = _points(6, config)
-    worst = 0.0
-    for p in points:
+
+    def residual(p):
         expected = np.diag([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
         expected[5, 2] = 2.0 * a.eval(p)
-        worst = max(worst, float(np.max(np.abs(s.tensor.eval(p) - expected))))
+        return s.tensor.eval(p) - expected
+
+    worst = sampled_max(points, residual).value
     return CheckResult("vortex-tensor-matrix", worst < 1e-12, worst, 1e-12)
 
 
@@ -140,14 +132,16 @@ def _vec_vortex_metric(config: RunConfig, inject: bool) -> CheckResult:
     a = parse_field("x1^2 + x2^2", s.chart)
     g = s.metric()
     points = _points(6, config)
-    worst = 0.0
-    for p in points:
+
+    def residual(p):
         expected = np.zeros((6, 6))
         expected[0, 3] = expected[3, 0] = 1.0
         expected[1, 4] = expected[4, 1] = 1.0
         expected[2, 5] = expected[5, 2] = -1.0
         expected[2, 2] = 2.0 * a.eval(p)
-        worst = max(worst, float(np.max(np.abs(g.eval(p) - expected))))
+        return g.eval(p) - expected
+
+    worst = sampled_max(points, residual).value
     sig = g.signature((0.5, 0.25, 0.0, 0.0, 0.0, 0.0))
     passed = worst < 1e-12 and sig == (3, 3, 0)
     return CheckResult("vortex-metric", passed, worst, 1e-12, {"signature": list(sig)})
@@ -193,7 +187,7 @@ def _vec_shear_reduction(config: RunConfig, inject: bool) -> CheckResult:
     points = _points(4, config)
     chart = ma4.phase_chart()
     a_r = parse_field("sin(x1)*cos(x2)", chart)
-    worst = 0.0
+    residuals = []
     for gamma in (0.0, 1.0, 2.0):
         red = reduction.shear_pair_reduction("sin(x1)*cos(x2)", gamma)
         expected_omega = DifferentialForm.build(
@@ -204,10 +198,11 @@ def _vec_shear_reduction(config: RunConfig, inject: bool) -> CheckResult:
         expected_theta = DifferentialForm.build(
             chart, 2, [((1, 2), -1.0), ((0, 3), 1.0), ((0, 1), gamma)]
         )
-        worst = max(worst, sup_norm(red["omega_c"] - expected_omega, points))
-        worst = max(worst, sup_norm(red["theta_c"] - expected_theta, points))
+        residuals.append(sup_norm(red["omega_c"] - expected_omega, points))
+        residuals.append(sup_norm(red["theta_c"] - expected_theta, points))
         cv = reduction.change_variables_64(red["omega_c"], red["theta_c"], gamma, points)
-        worst = max(worst, cv["residual_tc"], cv["residual_oc"], cv["residual_o0"])
+        residuals += [cv["residual_tc"], cv["residual_oc"], cv["residual_o0"]]
+    worst = max(residuals)
     return CheckResult("shear-reduction", worst < 1e-12, worst, 1e-12)
 
 

@@ -4,8 +4,9 @@ Every subcommand assembles a deterministic JSON report (schema version 1):
 identical flags and seed produce byte-identical output. Human-readable
 summaries go to stdout by default; --json switches stdout to the report
 itself and --output writes the report to a file in either mode. Exit codes:
-0 when every check passes, 1 when a check fails, 2 on input errors, which
-are printed as a JSON envelope {stage, message, offset?}.
+0 when every check passes, 1 when a check fails (a non-finite residual
+always fails), 2 on input or compute errors, which are printed as a JSON
+envelope {stage, message, offset?}.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import catalog, curvature, fluids, ma4, ma6, reduction
 from .exterior import DifferentialForm, NondegeneracyError, sup_norm
-from .fieldexpr import ChartError, ExpressionError, parse_field
-from .fieldexpr.nodes import const_value, to_plain
+from .fieldexpr import ChartError, DomainError, ExpressionError, parse_field
+from .fieldexpr.nodes import const_value, fmt_number, to_plain
 from .ma6 import NondegeneracyViolation
 from .reduction import InvarianceError
 from .report import CheckResult, Report, error_envelope
@@ -61,10 +62,6 @@ def _parse_grid_spec(text: str) -> list[tuple[float, ...]]:
     return [tuple(float(c) for c in row) for row in stacked]
 
 
-def _trim(value: float) -> str:
-    return str(int(value)) if value == int(value) else str(value)
-
-
 def render_form(form: DifferentialForm) -> str:
     """Sorted-index text rendering with coordinate names, e.g. dx1^dxi2."""
     parts = []
@@ -79,7 +76,7 @@ def render_form(form: DifferentialForm) -> str:
         elif value == -1.0:
             term = f"-{basis}"
         elif value is not None:
-            term = f"{_trim(value)}*{basis}"
+            term = f"{fmt_number(value)}*{basis}"
         else:
             term = f"({coeff.render()})*{basis}"
         parts.append(term)
@@ -424,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--psi", required=True, help="stream function over x1, x2")
     p.add_argument("--dp", required=True, help="pressure Laplacian over x1, x2")
-    p.add_argument("--c", type=float, default=0.0)
+    p.add_argument("--c", type=float, default=0.0, help="axial velocity offset")
     p.set_defaults(handler=cmd_burgers)
 
     p = sub.add_parser("curvature", parents=[common], help="curvature of a catalog metric")
@@ -473,14 +470,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _config(args)
         report = args.handler(args, config)
+    except (
+        DomainError,
+        NondegeneracyError,
+        NondegeneracyViolation,
+        curvature.SingularMetricError,
+    ) as exc:
+        print(error_envelope("compute", str(exc)))
+        return 2
     except ExpressionError as exc:
         print(error_envelope("parse", str(exc), exc.offset))
         return 2
     except FileNotFoundError as exc:
         print(error_envelope("input", str(exc)))
-        return 2
-    except (NondegeneracyError, NondegeneracyViolation, curvature.SingularMetricError) as exc:
-        print(error_envelope("compute", str(exc)))
         return 2
     except (InputSpecError, ChartError, fluids.GridError, InvarianceError, ValueError) as exc:
         print(error_envelope("input", str(exc)))

@@ -1,8 +1,8 @@
 """Pseudo-Riemannian curvature of coordinate metrics.
 
 Christoffel symbols, Riemann and Ricci tensors are evaluated pointwise
-from exact first and second derivatives of the metric entries, with the
-inverse-metric derivative folded in through d(g^-1) = -g^-1 (dg) g^-1.
+from one exact order-2 jet per metric entry, with the inverse-metric
+derivative folded in through d(g^-1) = -g^-1 (dg) g^-1.
 Flatness is sampled, not proven: a NonFlat verdict is exact because the
 derivatives are, while a Flat verdict holds on the sampled points only.
 """
@@ -14,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .exterior import SymmetricTensorField
+from .exterior import Peak, SymmetricTensorField, sampled_max
 from .fieldexpr import Chart, ScalarField
+from .fieldexpr.nodes import const_value
 from .ma6 import coefficient_field, momentum_chart
 
 
@@ -84,105 +85,75 @@ def burgers_metric(a: ScalarField | str | float) -> MetricField:
     return MetricField.from_rows(chart, rows)
 
 
-class _CurvatureEngine:
-    """Precomputed derivative fields of one metric, reused across points."""
+def _jets_at(tensor: SymmetricTensorField, point: Sequence[float]):
+    """Metric, its inverse, and its first and second partials at a point.
 
-    def __init__(self, tensor: SymmetricTensorField, order: int):
-        self.chart = tensor.chart
-        self.n = tensor.chart.dim
-        n = self.n
-        self.entries = tensor.entries
-        self.first = [
-            [[tensor.entries[i][j].derivative(k) for j in range(n)] for i in range(n)]
-            for k in range(n)
-        ]
-        self.second = None
-        if order >= 2:
-            self.second = [
-                [
-                    [
-                        [
-                            tensor.entries[i][j].derivative(k, m) if k <= m else None
-                            for j in range(n)
-                        ]
-                        for i in range(n)
-                    ]
-                    for m in range(n)
-                ]
-                for k in range(n)
-            ]
-
-    def _matrix_at(self, fields, point) -> np.ndarray:
-        n = self.n
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = fields[i][j].eval(point)
-                out[i, j] = v
-                out[j, i] = v
-        return out
-
-    def values(self, point: Sequence[float]):
-        n = self.n
-        g = self._matrix_at(self.entries, point)
-        _check_invertible(g, point)
-        ginv = np.linalg.inv(g)
-        d1 = np.stack([self._matrix_at(self.first[k], point) for k in range(n)])
-        d2 = None
-        if self.second is not None:
-            d2 = np.empty((n, n, n, n))
+    One order-2 jet per non-constant entry on or above the diagonal carries
+    the value and every partial; d1[k] = d_k g and d2[k, m] = d_k d_m g.
+    """
+    n = tensor.chart.dim
+    g = np.zeros((n, n))
+    d1 = np.zeros((n, n, n))
+    d2 = np.zeros((n, n, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            entry = tensor.entries[i][j]
+            value = const_value(entry.ast)
+            if value is not None:
+                g[i, j] = g[j, i] = value
+                continue
+            partials = entry.jet(point, 2).partials
+            g[i, j] = g[j, i] = partials[()]
             for k in range(n):
+                d1[k, i, j] = d1[k, j, i] = partials[(k,)]
                 for m in range(k, n):
-                    block = self._matrix_at(self.second[k][m], point)
-                    d2[k, m] = block
-                    d2[m, k] = block
-        return g, ginv, d1, d2
+                    v = partials[(k, m)]
+                    d2[k, m, i, j] = d2[k, m, j, i] = d2[m, k, i, j] = d2[m, k, j, i] = v
+    _check_invertible(g, point)
+    return g, np.linalg.inv(g), d1, d2
 
-    def christoffel_at(self, point: Sequence[float]) -> np.ndarray:
-        _, ginv, d1, _ = self.values(point)
-        t = self._lowered(d1)
-        return 0.5 * np.einsum("kl,lij->kij", ginv, t)
 
-    @staticmethod
-    def _lowered(d1: np.ndarray) -> np.ndarray:
-        # t[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-        return (
-            np.einsum("ijl->lij", d1)
-            + np.einsum("jil->lij", d1)
-            - d1
-        )
+def _lowered(d1: np.ndarray) -> np.ndarray:
+    # t[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    return (
+        np.einsum("ijl->lij", d1)
+        + np.einsum("jil->lij", d1)
+        - d1
+    )
 
-    def riemann_at(self, point: Sequence[float]) -> np.ndarray:
-        _, ginv, d1, d2 = self.values(point)
-        t = self._lowered(d1)
-        gamma = 0.5 * np.einsum("kl,lij->kij", ginv, t)
-        dginv = -np.einsum("ka,mab,bl->mkl", ginv, d1, ginv)
-        # dt[m, l, i, j] = d_m t[l, i, j]
-        dt = np.einsum("mijl->mlij", d2) + np.einsum("mjil->mlij", d2) - d2
-        dgamma = 0.5 * (
-            np.einsum("mkl,lij->mkij", dginv, t)
-            + np.einsum("kl,mlij->mkij", ginv, dt)
-        )
-        return (
-            np.einsum("iljk->lijk", dgamma)
-            - np.einsum("jlik->lijk", dgamma)
-            + np.einsum("lim,mjk->lijk", gamma, gamma)
-            - np.einsum("ljm,mik->lijk", gamma, gamma)
-        )
+
+def _riemann(ginv: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    t = _lowered(d1)
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, t)
+    dginv = -np.einsum("ka,mab,bl->mkl", ginv, d1, ginv)
+    # dt[m, l, i, j] = d_m t[l, i, j]
+    dt = np.einsum("mijl->mlij", d2) + np.einsum("mjil->mlij", d2) - d2
+    dgamma = 0.5 * (
+        np.einsum("mkl,lij->mkij", dginv, t)
+        + np.einsum("kl,mlij->mkij", ginv, dt)
+    )
+    return (
+        np.einsum("iljk->lijk", dgamma)
+        - np.einsum("jlik->lijk", dgamma)
+        + np.einsum("lim,mjk->lijk", gamma, gamma)
+        - np.einsum("ljm,mik->lijk", gamma, gamma)
+    )
 
 
 def christoffel(
     g: MetricField | SymmetricTensorField, point: Sequence[float]
 ) -> np.ndarray:
     """Levi-Civita symbols Gamma[k][i][j] at a point, symmetric in (i, j)."""
-    return _CurvatureEngine(_tensor_of(g), order=1).christoffel_at(point)
+    _, ginv, d1, _ = _jets_at(_tensor_of(g), point)
+    return 0.5 * np.einsum("kl,lij->kij", ginv, _lowered(d1))
 
 
 def riemann(
     g: MetricField | SymmetricTensorField, point: Sequence[float]
 ) -> np.ndarray:
     """Curvature R[l][i][j][k], antisymmetric in (i, j), first-Bianchi clean."""
-    return _CurvatureEngine(_tensor_of(g), order=2).riemann_at(point)
+    _, ginv, d1, d2 = _jets_at(_tensor_of(g), point)
+    return _riemann(ginv, d1, d2)
 
 
 def ricci(
@@ -192,44 +163,50 @@ def ricci(
     return np.einsum("iijk->jk", riemann(g, point))
 
 
-def _sampled_verdict(
-    g: MetricField | SymmetricTensorField,
-    points: Sequence[Sequence[float]],
-    reduce_tensor,
-    tol_factor: float,
-) -> dict:
-    engine = _CurvatureEngine(_tensor_of(g), order=2)
-    max_entry = 0.0
-    witness = None
-    scale = 1.0
+def _curvature_pass(
+    g: MetricField | SymmetricTensorField, points: Sequence[Sequence[float]]
+) -> tuple[Peak, Peak, dict]:
+    """Riemann and Ricci peaks over the sample in one pass.
+
+    Singular sample points are skipped and reported. The threshold is 1e-9
+    times the metric scale, the largest metric entry but at least 1.
+    """
+    tensor = _tensor_of(g)
     singular = []
-    checked = 0
-    for p in points:
+
+    def residual(p):
         try:
-            values = engine.riemann_at(p)
-            metric_values = engine._matrix_at(engine.entries, p)
+            values, ginv, d1, d2 = _jets_at(tensor, p)
         except SingularMetricError:
             singular.append(tuple(float(c) for c in p))
-            continue
-        checked += 1
-        scale = max(scale, float(np.max(np.abs(metric_values))))
-        worst = float(np.max(np.abs(reduce_tensor(values))))
-        if worst > max_entry:
-            max_entry = worst
-            witness = tuple(float(c) for c in p)
-    if checked == 0:
+            return {}
+        full = _riemann(ginv, d1, d2)
+        return {"metric": values, "riemann": full, "ricci": np.einsum("iijk->jk", full)}
+
+    peaks = sampled_max(points, residual).parts
+    if not peaks:
         raise SingularMetricError("metric is singular at every sample point")
-    threshold = tol_factor * scale
-    flat = max_entry < threshold
-    return {
-        "verdict": "Flat" if flat else "NonFlat",
-        "max_entry": max_entry,
-        "witness": None if flat else witness,
-        "threshold": threshold,
+    common = {
+        "threshold": 1e-9 * max(1.0, peaks["metric"].value),
         "mode": "sampled flatness",
-        "points_checked": checked,
+        "points_checked": len(points) - len(singular),
         "singular_points": singular,
     }
+    return peaks["riemann"], peaks["ricci"], common
+
+
+def _verdict(peak: Peak, common: dict, labels: tuple[str, str]) -> dict:
+    ok = peak.value < common["threshold"]
+    return {
+        "verdict": labels[0] if ok else labels[1],
+        "max_entry": peak.value,
+        "witness": None if ok else peak.witness,
+        **common,
+    }
+
+
+_FLAT = ("Flat", "NonFlat")
+_RICCI_FLAT = ("RicciFlat", "NonRicciFlat")
 
 
 def flatness_verdict(
@@ -240,65 +217,29 @@ def flatness_verdict(
     Flat iff max |Riemann| over the sample is below 1e-9 times the metric
     scale. Singular sample points are skipped and reported.
     """
-    return _sampled_verdict(g, points, lambda r: r, 1e-9)
+    riemann_peak, _, common = _curvature_pass(g, points)
+    return _verdict(riemann_peak, common, _FLAT)
 
 
 def ricci_flat_verdict(
     g: MetricField | SymmetricTensorField, points: Sequence[Sequence[float]]
 ) -> dict:
     """Sampled verdict on the Ricci contraction, same thresholds as flatness."""
-    out = _sampled_verdict(g, points, lambda r: np.einsum("iijk->jk", r), 1e-9)
-    out["verdict"] = "RicciFlat" if out["verdict"] == "Flat" else "NonRicciFlat"
-    return out
+    _, ricci_peak, common = _curvature_pass(g, points)
+    return _verdict(ricci_peak, common, _RICCI_FLAT)
 
 
 def curvature_report(
     g: MetricField | SymmetricTensorField, points: Sequence[Sequence[float]]
 ) -> dict:
     """Riemann and Ricci maxima with both sampled verdicts, for reporting."""
-    engine = _CurvatureEngine(_tensor_of(g), order=2)
-    riemann_max = 0.0
-    ricci_max = 0.0
-    riemann_witness = None
-    ricci_witness = None
-    scale = 1.0
-    singular = []
-    checked = 0
-    for p in points:
-        try:
-            full = engine.riemann_at(p)
-            metric_values = engine._matrix_at(engine.entries, p)
-        except SingularMetricError:
-            singular.append(tuple(float(c) for c in p))
-            continue
-        checked += 1
-        scale = max(scale, float(np.max(np.abs(metric_values))))
-        r_full = float(np.max(np.abs(full)))
-        r_ricci = float(np.max(np.abs(np.einsum("iijk->jk", full))))
-        if r_full > riemann_max:
-            riemann_max = r_full
-            riemann_witness = tuple(float(c) for c in p)
-        if r_ricci > ricci_max:
-            ricci_max = r_ricci
-            ricci_witness = tuple(float(c) for c in p)
-    if checked == 0:
-        raise SingularMetricError("metric is singular at every sample point")
-    threshold = 1e-9 * scale
-    flat = riemann_max < threshold
-    ricci_flat = ricci_max < threshold
+    riemann_peak, ricci_peak, common = _curvature_pass(g, points)
+    flat = _verdict(riemann_peak, common, _FLAT)
+    ricci_flat = _verdict(ricci_peak, common, _RICCI_FLAT)
     return {
-        "riemann_max": riemann_max,
-        "ricci_max": ricci_max,
-        "threshold": threshold,
-        "mode": "sampled flatness",
-        "points_checked": checked,
-        "singular_points": singular,
-        "verdicts": {
-            "flat": "Flat" if flat else "NonFlat",
-            "ricci_flat": "RicciFlat" if ricci_flat else "NonRicciFlat",
-        },
-        "witnesses": {
-            "riemann": None if flat else riemann_witness,
-            "ricci": None if ricci_flat else ricci_witness,
-        },
+        "riemann_max": riemann_peak.value,
+        "ricci_max": ricci_peak.value,
+        **common,
+        "verdicts": {"flat": flat["verdict"], "ricci_flat": ricci_flat["verdict"]},
+        "witnesses": {"riemann": flat["witness"], "ricci": ricci_flat["witness"]},
     }

@@ -8,9 +8,10 @@ only appear when a form is evaluated at a point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,6 +98,18 @@ class DifferentialForm:
 
     def coeffs_at(self, point: Sequence[float]) -> dict[tuple[int, ...], float]:
         return {k: f.eval(point) for k, f in self.terms.items()}
+
+    def matrix_at(self, point: Sequence[float]) -> np.ndarray:
+        """Numeric form_to_matrix: entry (i, j) is the value on e_i, e_j."""
+        if self.degree != 2:
+            raise ValueError("matrix representation needs a 2-form")
+        n = self.chart.dim
+        out = np.zeros((n, n))
+        for (i, j), f in self.terms.items():
+            v = f.eval(point)
+            out[i, j] = v
+            out[j, i] = -v
+        return out
 
     def apply(self, point: Sequence[float], *vectors: Sequence[float]) -> float:
         """Evaluate on concrete vectors at a point."""
@@ -276,6 +289,27 @@ class VectorField:
                 continue
             out = out + comp * f.derivative(i)
         return out
+
+
+def divergence(u: VectorField) -> ScalarField:
+    out = ScalarField.constant(u.chart, 0.0)
+    for i in range(u.chart.dim):
+        out = out + u.components[i].derivative(i)
+    return out
+
+
+def trace_m_squared(u: VectorField) -> ScalarField:
+    """Sum of du_i/dx_j * du_j/dx_i over all index pairs."""
+    n = u.chart.dim
+    out = ScalarField.constant(u.chart, 0.0)
+    for i in range(n):
+        for j in range(n):
+            gij = u.components[i].derivative(j)
+            gji = u.components[j].derivative(i)
+            if gij.is_zero or gji.is_zero:
+                continue
+            out = out + gij * gji
+    return out
 
 
 def interior_product(x: VectorField, form: DifferentialForm) -> DifferentialForm:
@@ -624,19 +658,48 @@ def operator_from_pair(omega: DifferentialForm, big_omega: DifferentialForm) -> 
     return OperatorField(chart, matmul_fields(inv, om, chart))
 
 
+class Peak(NamedTuple):
+    """Sup of a sampled residual and the first sample point attaining it.
+
+    ``parts`` holds one Peak per name when the residual is a dict; the
+    overall value is then the largest of them.
+    """
+
+    value: float
+    witness: tuple[float, ...] | None
+    parts: dict[str, "Peak"]
+
+
+def sampled_max(
+    points: Iterable[Sequence[float]], residual: Callable[[Sequence[float]], object]
+) -> Peak:
+    """Largest absolute residual over the sample points and where it peaks.
+
+    ``residual(p)`` returns a number, an array, or a dict of them by name.
+    A non-finite value counts as inf, so it cannot pass a ``< tol`` test.
+    The witness is the first point that raises the maximum above zero; an
+    empty sample gives 0.0 with no witness.
+    """
+    peaks: dict = {}
+    for p in points:
+        r = residual(p)
+        for name, part in r.items() if isinstance(r, dict) else ((None, r),):
+            v = float(np.max(np.abs(part), initial=0.0))
+            if not math.isfinite(v):
+                v = math.inf
+            if v > peaks.setdefault(name, (0.0, None))[0]:
+                peaks[name] = (v, tuple(float(c) for c in p))
+    value, witness = max(peaks.values(), key=lambda peak: peak[0], default=(0.0, None))
+    parts = {} if None in peaks else {k: Peak(v, w, {}) for k, (v, w) in peaks.items()}
+    return Peak(value, witness, parts)
+
+
 def sup_norm(form: DifferentialForm, points: Sequence[Sequence[float]]) -> float:
     """Largest absolute coefficient value over the sample points."""
-    worst = 0.0
-    for key, f in form.terms.items():
-        for p in points:
-            worst = max(worst, abs(f.eval(p)))
-    return worst
+    return sampled_max(points, lambda p: [f.eval(p) for f in form.terms.values()]).value
 
 
 def operator_sup_diff(
     a: OperatorField, b: OperatorField, points: Sequence[Sequence[float]]
 ) -> float:
-    worst = 0.0
-    for p in points:
-        worst = max(worst, float(np.max(np.abs(a.eval(p) - b.eval(p)))))
-    return worst
+    return sampled_max(points, lambda p: a.eval(p) - b.eval(p)).value

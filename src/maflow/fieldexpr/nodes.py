@@ -220,8 +220,8 @@ def _prec(node: Node) -> int:
     return _PREC_ATOM
 
 
-def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
+def fmt_number(v: float) -> str:
+    if abs(v) < 1e16 and v == int(v):
         return str(int(v))
     return repr(v)
 
@@ -247,7 +247,7 @@ def _paren(node: Node, minimum: int) -> str:
 
 def _render_plain(node: Node) -> str:
     if isinstance(node, Lit):
-        return _fmt_number(node.value)
+        return fmt_number(node.value)
     if isinstance(node, Konst):
         return node.name
     if isinstance(node, Var):

@@ -9,12 +9,13 @@ Grammar (precedence low to high):
     atom   <- number | constant | coordinate | fn '(' expr ')' | '(' expr ')'
 
 Functions: sin, cos, exp, log, sqrt. Constants: pi, e. The exponent of '^'
-must fold to an integer constant at parse time. Errors carry the 0-based
-offset of the offending token.
+must fold to an integer constant at parse time, and a number literal must
+be a finite double. Errors carry the 0-based offset of the offending token.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -151,7 +152,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Lit(float(tok.text), offset=tok.offset)
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {tok.text!r} overflows", offset=tok.offset)
+            return Lit(value, offset=tok.offset)
         if tok.kind == "(":
             self.advance()
             node = self.expr()

@@ -18,7 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .exterior import VectorField
+# divergence and trace_m_squared live in exterior, below both ma6 and this
+# module; they stay importable from here with the rest of the flow layer.
+from .exterior import VectorField, divergence, sampled_max, trace_m_squared  # noqa: F401
 from .fieldexpr import Chart, ChartError, ScalarField
 from .fieldexpr.parse import parse_field
 from .ma4 import DEGENERATE, ELLIPTIC, HYPERBOLIC, hessian_det
@@ -47,27 +49,6 @@ def velocity_gradient(u: VectorField) -> list[list[ScalarField]]:
     """Matrix of exact partials M[i][j] = du_i/dx_j."""
     n = u.chart.dim
     return [[u.components[i].derivative(j) for j in range(n)] for i in range(n)]
-
-
-def divergence(u: VectorField) -> ScalarField:
-    out = ScalarField.constant(u.chart, 0.0)
-    for i in range(u.chart.dim):
-        out = out + u.components[i].derivative(i)
-    return out
-
-
-def trace_m_squared(u: VectorField) -> ScalarField:
-    """Sum of du_i/dx_j * du_j/dx_i over all index pairs."""
-    n = u.chart.dim
-    out = ScalarField.constant(u.chart, 0.0)
-    for i in range(n):
-        for j in range(n):
-            gij = u.components[i].derivative(j)
-            gji = u.components[j].derivative(i)
-            if gij.is_zero or gji.is_zero:
-                continue
-            out = out + gij * gji
-    return out
 
 
 def pressure_rhs_field(u: VectorField) -> ScalarField:
@@ -226,10 +207,10 @@ def stretched_solution_check(
     a_field = _coerce(a, plane)
     points2 = [(p[0], p[1]) for p in points]
     res_i = stretched_residual_field(psi, a_field, gamma)
-    r1 = max((abs(res_i.eval(q)) for q in points2), default=0.0)
+    r1 = sampled_max(points2, res_i.eval).value
     flow = burgers_build(gamma, psi, c)
     res_ii = pressure_rhs_field(flow.velocity) - lift_plane_field(a_field) * 2.0
-    r2 = max((abs(res_ii.eval(p)) for p in points), default=0.0)
+    r2 = sampled_max(points, res_ii.eval).value
     a6 = _lift_to_phase(a_field)
     pair = euler_pair(a6)
     graph_report = verify_bilagrangian(pair, flow.velocity, points, tol=tol)

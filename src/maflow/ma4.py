@@ -30,6 +30,7 @@ from .exterior import (
     operator_from_pair,
     pullback,
     pullback_symmetric,
+    sampled_max,
     sup_norm,
     wedge,
 )
@@ -296,17 +297,6 @@ def build_triple(
     return structure.triple()
 
 
-def _form_matrix_at(form: DifferentialForm, point: Sequence[float]) -> np.ndarray:
-    n = form.chart.dim
-    out = np.zeros((n, n))
-    for idx, coeff in form.terms.items():
-        i, j = idx
-        v = coeff.eval(point)
-        out[i, j] = v
-        out[j, i] = -v
-    return out
-
-
 def triple_relations(
     structure: MAStructure4,
     points: Sequence[Sequence[float]],
@@ -332,33 +322,18 @@ def triple_relations(
         "cross_effective_tilde": top_coefficient(wedge(t.omega, t.tilde)),
         "cross_dual_tilde": top_coefficient(wedge(t.omega_hat, t.tilde)),
     }
-    residuals: dict[str, float] = {}
-    for name, field in wedge_fields.items():
-        residuals[name] = max((abs(field.eval(p)) for p in points), default=0.0)
     identity = np.eye(4)
-    algebra = {name: 0.0 for name in (
-        "defines_product",
-        "defines_complex",
-        "defines_tangent",
-        "product_square",
-        "complex_square",
-        "tangent_square",
-        "ti_s",
-        "it_s",
-        "ts_i",
-        "st_i",
-        "is_t",
-        "si_t",
-    )}
-    for p in points:
+
+    def residual(p):
+        wedges = {name: field.eval(p) for name, field in wedge_fields.items()}
         m_s = t.product.eval(p)
         m_i = t.almost_complex.eval(p)
         m_t = t.tangent.eval(p)
         e = eps.eval(p)
-        w_m = _form_matrix_at(t.omega, p)
-        h_m = _form_matrix_at(t.omega_hat, p)
-        t_m = _form_matrix_at(t.tilde, p)
-        checks = {
+        w_m = t.omega.matrix_at(p)
+        h_m = t.omega_hat.matrix_at(p)
+        t_m = t.tilde.matrix_at(p)
+        return wedges | {
             "defines_product": m_s.T @ w_m - h_m,
             "defines_complex": m_i.T @ t_m - w_m,
             "defines_tangent": m_t.T @ t_m - h_m,
@@ -372,11 +347,10 @@ def triple_relations(
             "is_t": m_i @ m_s - m_t,
             "si_t": m_s @ m_i + m_t,
         }
-        for name, mat in checks.items():
-            algebra[name] = max(algebra[name], float(np.max(np.abs(mat))))
-    residuals.update(algebra)
-    worst = max(residuals.values())
-    return {"residuals": residuals, "max_residual": worst, "passed": worst < tol}
+
+    peak = sampled_max(points, residual)
+    residuals = {name: part.value for name, part in peak.parts.items()}
+    return {"residuals": residuals, "max_residual": peak.value, "passed": peak.value < tol}
 
 
 def integrability(
@@ -423,10 +397,8 @@ def verify_generalized_solution(
     det_h = h.entries[0][0] * h.entries[1][1] - h.entries[0][1] * h.entries[0][1]
     tr_h = h.entries[0][0] + h.entries[1][1]
     a_pull = fmap.pull_scalar(structure.pfaffian)
-    det_residual = max((abs((det_h - a_pull * 4.0).eval(p)) for p in points), default=0.0)
-    trace_residual = max(
-        (abs((tr_h - laplacian2(psi) * 2.0).eval(p)) for p in points), default=0.0
-    )
+    det_residual = sampled_max(points, (det_h - a_pull * 4.0).eval).value
+    trace_residual = sampled_max(points, (tr_h - laplacian2(psi) * 2.0).eval).value
     signatures = []
     dichotomy = True
     for p in points:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,10 +40,13 @@ from .exterior import (
     OperatorField,
     SymmetricTensorField,
     VectorField,
+    divergence,
     ext_derivative,
     interior_product,
     pullback,
+    sampled_max,
     sup_norm,
+    trace_m_squared,
     volume_form,
     wedge,
 )
@@ -170,15 +173,6 @@ def _pfaffian_of(
     return lam
 
 
-def normalized_tensor(omega: DifferentialForm, vol: DifferentialForm | None = None) -> OperatorField:
-    """K / sqrt(|lambda|); squares to sign(lambda) * Id for nondegenerate forms."""
-    tensor = hitchin_tensor(omega, vol)
-    lam = _pfaffian_of(tensor)
-    if lam.is_zero:
-        raise NondegeneracyViolation("invariant vanishes identically; cannot normalize")
-    return tensor * _inv_sqrt_abs(lam)
-
-
 def _inv_sqrt_abs(field: ScalarField) -> ScalarField:
     """1/sqrt(|f|), folded to an exact constant when f is constant."""
     value = const_value(field.ast)
@@ -248,39 +242,26 @@ def lr_compatibility(
     tensor = hitchin_tensor(omega, vol)
     lam = _pfaffian_of(tensor)
     metric = lr_metric6(omega, big_omega, vol)
-    omega_mat = _form_matrix_at(big_omega)
-    worst = 0.0
     degenerate = []
-    for p in points:
+
+    def residual(p):
         lv = lam.eval(p)
         if abs(lv) < tol:
             degenerate.append(tuple(float(c) for c in p))
-            continue
+            return 0.0
         kmat = tensor.eval(p)
         gmat = metric.eval(p)
         amat = -math.copysign(1.0, lv) * kmat / math.sqrt(abs(lv))
         gnorm = gmat / math.sqrt(abs(lv))
-        resid = amat.T @ gnorm - omega_mat(p)
-        worst = max(worst, float(np.max(np.abs(resid))))
+        return amat.T @ gnorm - big_omega.matrix_at(p)
+
+    worst = sampled_max(points, residual).value
     return {
         "max_residual": worst,
         "samples": len(points),
         "degenerate_points": degenerate,
         "passed": worst < tol and not degenerate,
     }
-
-
-def _form_matrix_at(form: DifferentialForm) -> Callable[[Sequence[float]], np.ndarray]:
-    def at(point: Sequence[float]) -> np.ndarray:
-        n = form.chart.dim
-        out = np.zeros((n, n))
-        for (i, j), f in form.terms.items():
-            v = f.eval(point)
-            out[i, j] = v
-            out[j, i] = -v
-        return out
-
-    return at
 
 
 def hitchin_dual(omega: DifferentialForm, vol: DifferentialForm | None = None) -> DifferentialForm:
@@ -519,38 +500,28 @@ def euler_pair_relations(
     zero3 = np.zeros((3, 3))
     comm_target = 4.0 * np.block([[-eye3, zero3], [zero3, eye3]])
     anti_target = -4.0 * np.eye(6)
-    residuals = {
-        "k_omega_square": 0.0,
-        "k_theta_square": 0.0,
-        "anticommutator": 0.0,
-        "commutator": 0.0,
-        "g_omega": 0.0,
-        "g_theta": 0.0,
-        "product": 0.0,
-    }
     product = pair.product_defect()
-    for p in points:
+
+    def residual(p):
         av = pair.a.eval(p)
         ko2_target = -4.0 * av * np.eye(6)
         g_omega_target = np.block(
             [[2.0 * av * eye3, zero3], [zero3, 2.0 * eye3]]
         )
         g_theta_target = np.block([[2.0 * eye3, zero3], [zero3, zero3]])
-        updates = {
-            "k_omega_square": np.max(np.abs(ko2.eval(p) - ko2_target)),
-            "k_theta_square": np.max(np.abs(kt2.eval(p))),
-            "anticommutator": np.max(np.abs(anti.eval(p) - anti_target)),
-            "commutator": np.max(np.abs(comm.eval(p) - comm_target)),
-            "g_omega": np.max(np.abs(g_omega.eval(p) - g_omega_target)),
-            "g_theta": np.max(np.abs(g_theta.eval(p) - g_theta_target)),
-            "product": max(
-                (abs(f.eval(p)) for f in product.terms.values()), default=0.0
-            ),
+        return {
+            "k_omega_square": ko2.eval(p) - ko2_target,
+            "k_theta_square": kt2.eval(p),
+            "anticommutator": anti.eval(p) - anti_target,
+            "commutator": comm.eval(p) - comm_target,
+            "g_omega": g_omega.eval(p) - g_omega_target,
+            "g_theta": g_theta.eval(p) - g_theta_target,
+            "product": [f.eval(p) for f in product.terms.values()],
         }
-        for name, value in updates.items():
-            residuals[name] = max(residuals[name], float(value))
-    worst = max(residuals.values())
-    return {"residuals": residuals, "max_residual": worst, "passed": worst < tol}
+
+    peak = sampled_max(points, residual)
+    residuals = {name: part.value for name, part in peak.parts.items()}
+    return {"residuals": residuals, "max_residual": peak.value, "passed": peak.value < tol}
 
 
 def velocity_graph(u: VectorField, phase: Chart | None = None) -> GraphMap:
@@ -581,22 +552,9 @@ def verify_bilagrangian(
     theta_pull = pullback(pair.theta, graph)
     omega_residual = sup_norm(omega_pull, points)
     theta_residual = sup_norm(theta_pull, points)
-    base = u.chart
-    div = ScalarField.constant(base, 0.0)
-    for i in range(3):
-        div = div + u.components[i].derivative(i)
-    trace_sq = ScalarField.constant(base, 0.0)
-    for i in range(3):
-        for j in range(3):
-            gij = u.components[i].derivative(j)
-            gji = u.components[j].derivative(i)
-            if gij.is_zero or gji.is_zero:
-                continue
-            trace_sq = trace_sq + gij * gji
-    a_base = graph.pull_scalar(pair.a)
-    pressure = a_base * 2.0 + trace_sq
-    div_residual = max((abs(div.eval(p)) for p in points), default=0.0)
-    pressure_residual = max((abs(pressure.eval(p)) for p in points), default=0.0)
+    pressure = graph.pull_scalar(pair.a) * 2.0 + trace_m_squared(u)
+    div_residual = sampled_max(points, divergence(u).eval).value
+    pressure_residual = sampled_max(points, pressure.eval).value
     passed = omega_residual < tol and theta_residual < tol
     return {
         "omega_residual": omega_residual,

@@ -24,6 +24,7 @@ from .exterior import (
     interior_product,
     lie_derivative,
     pullback,
+    sampled_max,
     sup_norm,
     wedge,
 )
@@ -141,16 +142,10 @@ def reduce_form(
     if not lie.is_zero:
         if points is None:
             raise InvarianceError("form is not structurally invariant; supply sample points")
-        residual = sup_norm(lie, points)
-        if residual >= tol:
-            worst_value, worst_point = 0.0, None
-            for f in lie.terms.values():
-                for p in points:
-                    v = abs(f.eval(p))
-                    if v > worst_value:
-                        worst_value, worst_point = v, tuple(float(c) for c in p)
+        peak = sampled_max(points, lambda p: [f.eval(p) for f in lie.terms.values()])
+        if peak.value >= tol:
             raise InvarianceError(
-                f"form is not invariant: residual {worst_value:.3e} at {worst_point}"
+                f"form is not invariant: residual {peak.value:.3e} at {peak.witness}"
             )
     return pullback(interior_product(action.generator, form), action.slice_map)
 
@@ -264,9 +259,9 @@ def burgers_decomposition(
     tensor = hitchin_tensor(pi_form)
     y = tensor.apply(x)
     pairing = interior_product(y, interior_product(x, big_omega)).coeff(())
-    pairing_residual = max(
-        (abs(pairing.eval(p) - 2.0 * a_field.eval(p)) for p in points), default=0.0
-    )
+    pairing_residual = sampled_max(
+        points, lambda p: pairing.eval(p) - 2.0 * a_field.eval(p)
+    ).value
     i_x = interior_product(x, big_omega)
     i_y = interior_product(y, big_omega)
     half = ScalarField.constant(chart, 0.5)
@@ -302,9 +297,9 @@ def burgers_decomposition(
     )
     structure = MAStructure4(reduced_chart, omega_r, big_omega_r, metric=metric_r)
     points4 = [(p[0], p[1], p[3], p[4]) for p in points]
-    pf_residual = max(
-        (abs(structure.pfaffian.eval(q) - a4.eval(q)) for q in points4), default=0.0
-    )
+    pf_residual = sampled_max(
+        points4, lambda q: structure.pfaffian.eval(q) - a4.eval(q)
+    ).value
     dual_residual = sup_norm(structure.dual_form() - omega_hat_r, points4)
     worst = max(
         pairing_residual,

@@ -60,23 +60,3 @@ def sample_points(
     rng = np.random.default_rng(seed)
     return rng.uniform(low, high, size=(count, dim))
 
-
-def sample_points_avoiding(
-    dim: int,
-    count: int,
-    seed: int,
-    avoid_axis: int,
-    margin: float = 0.1,
-    low: float = -1.0,
-    high: float = 1.0,
-) -> np.ndarray:
-    """Sample points whose given coordinate stays away from zero.
-
-    Needed when a coefficient has a sign-degenerate locus along one axis.
-    """
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(low, high, size=(count, dim))
-    col = pts[:, avoid_axis]
-    col[np.abs(col) < margin] = margin * np.sign(col[np.abs(col) < margin] + 0.5)
-    pts[:, avoid_axis] = col
-    return pts

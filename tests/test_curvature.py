@@ -158,3 +158,33 @@ def test_metric_field_guards():
     assert curvature.MetricField.from_tensor(tensor).chart == PLANE
     with pytest.raises(ValueError, match="does not match"):
         curvature.MetricField(tensor, SPACE)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        curvature.burgers_metric("sin(x1)*x2 + x1^2"),
+        curvature.MetricField.from_rows(
+            SPACE,
+            [
+                [parse_field("exp(2*x1)", SPACE), parse_field("x1*x3", SPACE), 0.0],
+                [parse_field("x1*x3", SPACE), parse_field("1 + x2^2", SPACE), 0.0],
+                [0.0, 0.0, parse_field("cos(x1) + 3", SPACE)],
+            ],
+        ),
+    ],
+)
+def test_metric_jets_match_derivative_fields_bit_for_bit(g):
+    # Reference: one derivative field per entry and partial, evaluated alone.
+    entries = g.g.entries
+    n = g.chart.dim
+    for p in sample_points(n, 5, 11):
+        values, ginv, d1, d2 = curvature._jets_at(g.g, p)
+        assert np.array_equal(values, g.eval(p))
+        assert np.array_equal(ginv, np.linalg.inv(g.eval(p)))
+        expect1 = [[[entries[i][j].derivative(k).eval(p) for j in range(n)]
+                    for i in range(n)] for k in range(n)]
+        assert np.array_equal(d1, np.array(expect1))
+        expect2 = [[[[entries[i][j].derivative(k, m).eval(p) for j in range(n)]
+                     for i in range(n)] for m in range(n)] for k in range(n)]
+        assert np.array_equal(d2, np.array(expect2))
