@@ -19,7 +19,7 @@ from .exterior import DifferentialForm, sampled_max, sup_norm
 from .fieldexpr import ScalarField
 from .fieldexpr.parse import parse_field
 from .report import CheckResult, Report
-from .sampling import RunConfig, sample_points
+from .sampling import RunConfig, run_points
 
 STRUCTURE_NAMES_6D = ("hess1", "speciallag", "burgers-cy", "euler-pair")
 METRIC_NAMES = ("burgers-cy", "hess1", "speciallag")
@@ -62,14 +62,9 @@ class SelfTestVector:
     run: Callable[[RunConfig, bool], CheckResult]
 
 
-def _points(dim: int, config: RunConfig, count: int | None = None) -> np.ndarray:
-    n = config.samples if count is None else min(config.samples, count)
-    return sample_points(dim, n, config.seed)
-
-
 def _vec_flow_pfaffians(config: RunConfig, inject: bool) -> CheckResult:
     s = ma4.flow_structure("1 + x1^2")
-    points = _points(4, config)
+    points = run_points(4, config)
     a = parse_field("1 + x1^2", s.chart)
     sign = -1.0 if inject else 1.0
     pf = s.pfaffian
@@ -82,7 +77,7 @@ def _vec_flow_pfaffians(config: RunConfig, inject: bool) -> CheckResult:
 
 
 def _vec_triple_algebra(config: RunConfig, inject: bool) -> CheckResult:
-    points = _points(4, config)
+    points = run_points(4, config)
     worst = max(
         ma4.triple_relations(ma4.flow_structure(coeff), points)["max_residual"]
         for coeff in ("-2", "1 + x1^2")
@@ -93,7 +88,7 @@ def _vec_triple_algebra(config: RunConfig, inject: bool) -> CheckResult:
 def _vec_stream_graph(config: RunConfig, inject: bool) -> CheckResult:
     psi = parse_field("0.75*x1^2 + 0.5*x1*x2 + 0.5*x2^2", ma4.base_chart())
     s = ma4.flow_structure("1.25")
-    points = _points(2, config)
+    points = run_points(2, config)
     out = ma4.verify_generalized_solution(s, psi, points)
     worst = max(
         out["omega_residual"],
@@ -107,7 +102,7 @@ def _vec_stream_graph(config: RunConfig, inject: bool) -> CheckResult:
 
 def _vec_vortex_invariant(config: RunConfig, inject: bool) -> CheckResult:
     s = ma6.burgers_structure("x1^2 + x2^2")
-    points = _points(6, config)
+    points = run_points(6, config)
     lam = s.pfaffian
     worst = sampled_max(points, lambda p: lam.eval(p) - 1.0).value
     return CheckResult("vortex-invariant", worst < 1e-12, worst, 1e-12)
@@ -116,7 +111,7 @@ def _vec_vortex_invariant(config: RunConfig, inject: bool) -> CheckResult:
 def _vec_vortex_tensor(config: RunConfig, inject: bool) -> CheckResult:
     s = ma6.burgers_structure("x1^2 + x2^2")
     a = parse_field("x1^2 + x2^2", s.chart)
-    points = _points(6, config)
+    points = run_points(6, config)
 
     def residual(p):
         expected = np.diag([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
@@ -131,7 +126,7 @@ def _vec_vortex_metric(config: RunConfig, inject: bool) -> CheckResult:
     s = ma6.burgers_structure("x1^2 + x2^2")
     a = parse_field("x1^2 + x2^2", s.chart)
     g = s.metric()
-    points = _points(6, config)
+    points = run_points(6, config)
 
     def residual(p):
         expected = np.zeros((6, 6))
@@ -152,7 +147,7 @@ def _vec_vortex_dual(config: RunConfig, inject: bool) -> CheckResult:
     a = parse_field("x1^2 + x2^2", chart)
     s = ma6.burgers_structure(a, chart)
     dual = s.dual()
-    points = _points(6, config)
+    points = run_points(6, config)
     expected_sum = DifferentialForm.build(chart, 3, [((2, 3, 4), 2.0)])
     expected_diff = DifferentialForm.build(
         chart, 3, [((0, 1, 5), 2.0), ((0, 1, 2), a * -2.0)]
@@ -166,7 +161,7 @@ def _vec_vortex_dual(config: RunConfig, inject: bool) -> CheckResult:
 
 def _vec_pair_relations(config: RunConfig, inject: bool) -> CheckResult:
     pair = ma6.euler_pair("1 + x1^2")
-    points = _points(6, config)
+    points = run_points(6, config)
     rel = ma6.euler_pair_relations(pair, points)
     return CheckResult(
         "pair-relations", rel["passed"], rel["max_residual"], 1e-12
@@ -177,14 +172,14 @@ def _vec_laplace_reduction(config: RunConfig, inject: bool) -> CheckResult:
     red = reduction.laplace_reduction()
     chart = red["structure"].chart
     expected = DifferentialForm.build(chart, 2, [((1, 2), -1.0), ((0, 3), 1.0)])
-    points = _points(4, config)
+    points = run_points(4, config)
     worst = sup_norm(red["omega_c"] - expected, points)
     elliptic = red["structure"].classify((0.0, 0.0, 0.0, 0.0)) == ma4.ELLIPTIC
     return CheckResult("laplace-reduction", worst < 1e-12 and elliptic, worst, 1e-12)
 
 
 def _vec_shear_reduction(config: RunConfig, inject: bool) -> CheckResult:
-    points = _points(4, config)
+    points = run_points(4, config)
     chart = ma4.phase_chart()
     a_r = parse_field("sin(x1)*cos(x2)", chart)
     residuals = []
@@ -207,14 +202,14 @@ def _vec_shear_reduction(config: RunConfig, inject: bool) -> CheckResult:
 
 
 def _vec_vortex_split(config: RunConfig, inject: bool) -> CheckResult:
-    points = _points(6, config)
+    points = run_points(6, config)
     out = reduction.burgers_decomposition("1 + x1^2", points)
     return CheckResult("vortex-split", out["passed"], out["max_residual"], 1e-12)
 
 
 def _vec_stretched_vortex(config: RunConfig, inject: bool) -> CheckResult:
     psi = parse_field("x1^2 + x2^2", fluids.plane_chart())
-    points = _points(3, config)
+    points = run_points(3, config)
     out = fluids.stretched_solution_check(2.0, psi, 0.0, 1.0, points)
     worst = max(s["residual"] for s in out["stages"].values())
     return CheckResult("stretched-vortex-solution", out["passed"], worst, 1e-10)
@@ -222,7 +217,7 @@ def _vec_stretched_vortex(config: RunConfig, inject: bool) -> CheckResult:
 
 def _vec_ricci_flat(config: RunConfig, inject: bool) -> CheckResult:
     g = curvature.burgers_metric("x1^2 + x2^2")
-    points = _points(6, config, count=50)
+    points = run_points(6, config, count=50)
     verdict = curvature.ricci_flat_verdict(g, points)
     passed = verdict["verdict"] == "RicciFlat"
     return CheckResult("vortex-metric-ricci-flat", passed, verdict["max_entry"], 1e-9)
@@ -230,7 +225,7 @@ def _vec_ricci_flat(config: RunConfig, inject: bool) -> CheckResult:
 
 def _vec_flat_affine(config: RunConfig, inject: bool) -> CheckResult:
     g = curvature.burgers_metric("2*x1 + 3*x2 + 1")
-    points = _points(6, config, count=20)
+    points = run_points(6, config, count=20)
     verdict = curvature.flatness_verdict(g, points)
     passed = verdict["verdict"] == "Flat"
     return CheckResult("vortex-metric-flat-affine", passed, verdict["max_entry"], 1e-9)
@@ -238,7 +233,7 @@ def _vec_flat_affine(config: RunConfig, inject: bool) -> CheckResult:
 
 def _vec_curved_witness(config: RunConfig, inject: bool) -> CheckResult:
     g = curvature.burgers_metric("x1^2")
-    points = _points(6, config, count=20)
+    points = run_points(6, config, count=20)
     verdict = curvature.flatness_verdict(g, points)
     passed = verdict["verdict"] == "NonFlat"
     detail = {"max_entry": verdict["max_entry"], "witness": verdict["witness"]}

@@ -24,7 +24,7 @@ from .fieldexpr.nodes import const_value, fmt_number, to_plain
 from .ma6 import NondegeneracyViolation
 from .reduction import InvarianceError
 from .report import CheckResult, Report, error_envelope
-from .sampling import RunConfig, sample_points
+from .sampling import RunConfig, run_points
 
 
 class InputSpecError(ValueError):
@@ -88,15 +88,6 @@ def render_form(form: DifferentialForm) -> str:
     return out
 
 
-def _label(value: float) -> str:
-    tol = 1e-10 * max(1.0, abs(value))
-    if value > tol:
-        return "Elliptic"
-    if value < -tol:
-        return "Hyperbolic"
-    return "Degenerate"
-
-
 def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig.from_env(
         seed=args.seed,
@@ -105,11 +96,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         output=args.output,
         json_output=args.json,
     )
-
-
-def _sample(dim: int, config: RunConfig, count: int | None = None) -> list[tuple[float, ...]]:
-    n = config.samples if count is None else min(config.samples, count)
-    return [tuple(float(c) for c in p) for p in sample_points(dim, n, config.seed)]
 
 
 def cmd_selftest(args: argparse.Namespace, config: RunConfig) -> Report:
@@ -143,8 +129,9 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> Report:
     display = []
     for p in points:
         v = float(coeff.eval(p))
-        label = _label(v)
-        counts[label.lower()] += 1
+        kind = ma4.classify_value(v, p)
+        counts[kind] += 1
+        label = kind.capitalize()
         rows.append({"point": list(p), "a": v, "class": label})
         display.append(f"({p[0]}, {p[1]}) -> {label} (a = {v})")
     report.data = {"points": rows, "counts": counts, "display": display}
@@ -153,7 +140,7 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> Report:
 
 def cmd_triple(args: argparse.Namespace, config: RunConfig) -> Report:
     structure = ma4.flow_structure(parse_field(args.a, ma4.phase_chart()))
-    points = _sample(4, config)
+    points = run_points(4, config)
     kept = [p for p in points if abs(structure.pfaffian.eval(p)) > 1e-6]
     if not kept:
         raise InputSpecError("coefficient vanishes on the whole sample; nothing to check")
@@ -185,7 +172,7 @@ def cmd_triple(args: argparse.Namespace, config: RunConfig) -> Report:
 def cmd_hitchin(args: argparse.Namespace, config: RunConfig) -> Report:
     report = Report("hitchin", seed=config.seed, samples=config.samples)
     report.inputs = {"structure": args.structure, "a": args.a}
-    points = _sample(6, config)
+    points = run_points(6, config)
     if args.structure == "euler-pair":
         pair = catalog.structure6("euler-pair", args.a)
         tol = config.tol if config.tol is not None else 1e-12
@@ -237,7 +224,7 @@ def cmd_reduce(args: argparse.Namespace, config: RunConfig) -> Report:
         red = reduction.laplace_reduction(args.level)
         chart = red["structure"].chart
         expected = DifferentialForm.build(chart, 2, [((1, 2), -1.0), ((0, 3), 1.0)])
-        points = _sample(4, config)
+        points = run_points(4, config)
         residual = sup_norm(red["omega_c"] - expected, points)
         report.add(CheckResult("reduced-form-display", residual < tol, residual, tol))
         label = red["structure"].classify((0.0, 0.0, 0.0, 0.0)).capitalize()
@@ -251,7 +238,7 @@ def cmd_reduce(args: argparse.Namespace, config: RunConfig) -> Report:
         if args.a is None or args.gamma is None:
             raise InputSpecError("shear reduction needs --a and --gamma")
         red = reduction.shear_pair_reduction(args.a, args.gamma, args.level)
-        points = _sample(4, config)
+        points = run_points(4, config)
         cv = reduction.change_variables_64(
             red["omega_c"], red["theta_c"], args.gamma, points, tol=tol
         )
@@ -271,7 +258,7 @@ def cmd_reduce(args: argparse.Namespace, config: RunConfig) -> Report:
     if args.action == "burgers-split":
         if args.a is None:
             raise InputSpecError("the transverse split needs --a")
-        points = _sample(6, config)
+        points = run_points(6, config)
         out = reduction.burgers_decomposition(args.a, points, tol=tol)
         for key in (
             "pairing_residual",
@@ -296,7 +283,7 @@ def cmd_burgers(args: argparse.Namespace, config: RunConfig) -> Report:
     chart = fluids.plane_chart()
     psi = parse_field(args.psi, chart)
     a_field = parse_field(args.dp, chart) * 0.5
-    points = _sample(3, config)
+    points = run_points(3, config)
     tol = config.tol if config.tol is not None else 1e-10
     out = fluids.stretched_solution_check(args.gamma, psi, args.c, a_field, points, tol=tol)
     report = Report("burgers", seed=config.seed, samples=config.samples)
@@ -313,7 +300,7 @@ def cmd_burgers(args: argparse.Namespace, config: RunConfig) -> Report:
 
 def cmd_curvature(args: argparse.Namespace, config: RunConfig) -> Report:
     g = catalog.metric6(args.metric, args.a)
-    points = _sample(g.chart.dim, config)
+    points = run_points(g.chart.dim, config)
     out = curvature.curvature_report(g, points)
     report = Report("curvature", seed=config.seed, samples=config.samples)
     report.inputs = {"metric": args.metric, "a": args.a}
@@ -472,6 +459,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         report = args.handler(args, config)
     except (
         DomainError,
+        np.linalg.LinAlgError,
         NondegeneracyError,
         NondegeneracyViolation,
         curvature.SingularMetricError,

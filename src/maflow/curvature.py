@@ -45,7 +45,7 @@ class MetricField:
 
     def eval(self, point: Sequence[float]) -> np.ndarray:
         values = self.g.eval(point)
-        _check_invertible(values, point)
+        _inverse(values, point)
         return values
 
 
@@ -53,13 +53,24 @@ def _tensor_of(g: MetricField | SymmetricTensorField) -> SymmetricTensorField:
     return g.g if isinstance(g, MetricField) else g
 
 
-def _check_invertible(values: np.ndarray, point: Sequence[float]) -> None:
-    n = values.shape[0]
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if abs(np.linalg.det(values)) < 1e-12 * scale**n:
+def _inverse(values: np.ndarray, point: Sequence[float]) -> np.ndarray:
+    """Inverse metric; singular when inversion fails or leaves max|g g^-1 - I| > 1e-8.
+
+    The residual bounds the relative error of the inverse and does not change
+    when g is scaled, so a unimodular metric with large entries passes. A
+    non-finite metric is left to fail the checks.
+    """
+    if not np.isfinite(values).all():
+        return np.full_like(values, np.nan)
+    try:
+        inverse = np.linalg.inv(values)
+    except np.linalg.LinAlgError:
+        inverse = None
+    if inverse is None or np.max(np.abs(values @ inverse - np.eye(len(values)))) > 1e-8:
         raise SingularMetricError(
             f"metric is singular at {tuple(float(c) for c in point)}"
         )
+    return inverse
 
 
 def burgers_metric(a: ScalarField | str | float) -> MetricField:
@@ -109,8 +120,7 @@ def _jets_at(tensor: SymmetricTensorField, point: Sequence[float]):
                 for m in range(k, n):
                     v = partials[(k, m)]
                     d2[k, m, i, j] = d2[k, m, j, i] = d2[m, k, i, j] = d2[m, k, j, i] = v
-    _check_invertible(g, point)
-    return g, np.linalg.inv(g), d1, d2
+    return g, _inverse(g, point), d1, d2
 
 
 def _lowered(d1: np.ndarray) -> np.ndarray:

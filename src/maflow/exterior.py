@@ -16,7 +16,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .fieldexpr import Chart, ChartError, ScalarField
-from .fieldexpr.nodes import Lit
 
 
 class NondegeneracyError(ValueError):

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .chart import Chart, ChartError
+from .errors import OrderLimitError
 from .jet import Jet, jet_from_series
 from .nodes import (
     Call,
@@ -24,7 +25,7 @@ from .nodes import (
     render,
 )
 from .nodes import Pow as PowNode
-from .taylor import eval_plain, eval_series
+from .taylor import MAX_ORDER, Series, evaluate
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,17 @@ class ScalarField:
         return is_zero(self.ast)
 
     def eval(self, point: Sequence[float]) -> float:
-        pt = self.chart.point(point)
-        return eval_plain(self.ast, pt)
+        return evaluate(self.ast, self.chart.point(point), 0)
 
     def jet(self, point: Sequence[float], order: int) -> Jet:
+        if order > MAX_ORDER:
+            raise OrderLimitError(
+                f"jet order {order} exceeds the supported maximum {MAX_ORDER}"
+            )
         pt = self.chart.point(point)
-        series = eval_series(self.ast, pt, order)
+        series = evaluate(self.ast, pt, order)
+        if not isinstance(series, Series):
+            series = Series.constant(len(pt), order, series)
         return jet_from_series(series, order)
 
     def derivative(self, *axes: int | str) -> "ScalarField":
@@ -86,7 +92,7 @@ class ScalarField:
         for p in parts:
             if p.chart != host:
                 raise ChartError("component fields must share the host chart")
-        if isinstance(self.ast, (Lit,)):
+        if isinstance(self.ast, Lit):
             return ScalarField(host, self.ast)
         return ScalarField(host, Compose(self.ast, self.chart, tuple(p.ast for p in parts)))
 
@@ -185,7 +191,3 @@ def absval(f: ScalarField) -> ScalarField:
 
 def coordinates(chart: Chart) -> tuple[ScalarField, ...]:
     return tuple(ScalarField.coordinate(chart, name) for name in chart)
-
-
-def constant_like(chart: Chart, values: Iterable[float]) -> tuple[ScalarField, ...]:
-    return tuple(ScalarField.constant(chart, v) for v in values)

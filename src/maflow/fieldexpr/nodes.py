@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .chart import Chart
 
@@ -30,13 +29,10 @@ class Node:
 
 @dataclass(frozen=True)
 class Lit(Node):
+    """A constant; a named one (pi, e) renders by name and never folds."""
+
     value: float = 0.0
-
-
-@dataclass(frozen=True)
-class Konst(Node):
     name: str = ""
-    value: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -113,16 +109,16 @@ def is_one(node: Node) -> bool:
 
 def const_value(node: Node) -> float | None:
     """Value of a constant leaf, or None."""
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Konst):
-        return node.value
-    return None
+    return node.value if isinstance(node, Lit) else None
 
 
-@lru_cache(maxsize=None)
+def _number(node: Node) -> float | None:
+    """Value of an unnamed constant, the only kind that folds."""
+    return node.value if isinstance(node, Lit) and not node.name else None
+
+
 def free_vars(node: Node) -> frozenset[int]:
-    if isinstance(node, (Lit, Konst)):
+    if isinstance(node, Lit):
         return frozenset()
     if isinstance(node, Var):
         return frozenset((node.index,))
@@ -148,7 +144,7 @@ def free_vars(node: Node) -> frozenset[int]:
 # fields small and let structurally zero terms drop out of forms.
 
 def mk_neg(a: Node) -> Node:
-    if isinstance(a, Lit):
+    if _number(a) is not None:
         return Lit(-a.value)
     if isinstance(a, Neg):
         return a.arg
@@ -160,7 +156,7 @@ def mk_add(a: Node, b: Node) -> Node:
         return b
     if is_zero(b):
         return a
-    if isinstance(a, Lit) and isinstance(b, Lit):
+    if _number(a) is not None and _number(b) is not None:
         return Lit(a.value + b.value)
     return Add(a, b)
 
@@ -170,7 +166,7 @@ def mk_sub(a: Node, b: Node) -> Node:
         return a
     if is_zero(a):
         return mk_neg(b)
-    if isinstance(a, Lit) and isinstance(b, Lit):
+    if _number(a) is not None and _number(b) is not None:
         return Lit(a.value - b.value)
     if a == b:
         return Lit(0.0)
@@ -184,7 +180,7 @@ def mk_mul(a: Node, b: Node) -> Node:
         return b
     if is_one(b):
         return a
-    if isinstance(a, Lit) and isinstance(b, Lit):
+    if _number(a) is not None and _number(b) is not None:
         return Lit(a.value * b.value)
     return Mul(a, b)
 
@@ -194,7 +190,7 @@ def mk_div(a: Node, b: Node) -> Node:
         return Lit(0.0)
     if is_one(b):
         return a
-    if isinstance(a, Lit) and isinstance(b, Lit) and b.value != 0.0:
+    if _number(a) is not None and _number(b) is not None and b.value != 0.0:
         return Lit(a.value / b.value)
     return Div(a, b)
 
@@ -213,7 +209,7 @@ def _prec(node: Node) -> int:
         return _PREC_MUL
     if isinstance(node, Neg):
         return _PREC_UNARY
-    if isinstance(node, Lit) and node.value < 0:
+    if _number(node) is not None and node.value < 0:
         return _PREC_UNARY
     if isinstance(node, Pow):
         return _PREC_POW
@@ -247,9 +243,7 @@ def _paren(node: Node, minimum: int) -> str:
 
 def _render_plain(node: Node) -> str:
     if isinstance(node, Lit):
-        return fmt_number(node.value)
-    if isinstance(node, Konst):
-        return node.name
+        return node.name or fmt_number(node.value)
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
@@ -278,7 +272,7 @@ def to_plain(node: Node) -> Node:
     Used only for rendering and serialization; evaluation goes through the
     Taylor machinery and never rewrites operands.
     """
-    if isinstance(node, (Lit, Konst, Var)):
+    if isinstance(node, (Lit, Var)):
         return node
     if isinstance(node, Neg):
         return mk_neg(to_plain(node.arg))
@@ -309,7 +303,7 @@ def to_plain(node: Node) -> Node:
 def _subst(node: Node, parts: tuple[Node, ...]) -> Node:
     if isinstance(node, Var):
         return parts[node.index]
-    if isinstance(node, (Lit, Konst)):
+    if isinstance(node, Lit):
         return node
     if isinstance(node, Neg):
         return mk_neg(_subst(node.arg, parts))

@@ -1,4 +1,4 @@
-"""Truncated multivariate Taylor arithmetic.
+"""Truncated multivariate Taylor arithmetic and the one expression evaluator.
 
 A :class:`Series` stores Taylor coefficients of a function around a point,
 indexed by exponent multi-index. Coefficients carry the 1/alpha! factor, so
@@ -7,9 +7,11 @@ Derivatives are exact in the sense that every stored coefficient up to the
 series order is the true Taylor coefficient of the (piecewise analytic)
 expression; nothing is approximated by differencing.
 
-Order-0 evaluation through this module performs the same floating point
-operations as the plain evaluator, so values agree bit for bit no matter
-which path computed them.
+:func:`evaluate` walks an expression once, with one rule per node type.
+Constants stay plain floats at every order and become a series only when an
+operator meets one, and coordinates are plain floats at order 0, so an
+order-0 evaluation is float arithmetic by construction: a value does not
+depend on whether it was asked for alone or as part of a jet's evaluation.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .nodes import (
     Compose,
     Deriv,
     Div,
-    Konst,
     Lit,
     Mul,
     Neg,
@@ -32,6 +33,7 @@ from .nodes import (
     Pow,
     Sub,
     Var,
+    render,
 )
 
 MAX_ORDER = 4
@@ -53,17 +55,16 @@ def multi_indices(dim: int, order: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _ipow_positive(x, n: int, mul):
-    """Binary exponentiation; shared by floats and series for identical
-    multiplication trees."""
+def _ipow(x, n: int):
+    """x**n for n >= 1 by binary exponentiation, for floats and series alike."""
     result = None
     base = x
     while n:
         if n & 1:
-            result = base if result is None else mul(result, base)
+            result = base if result is None else result * base
         n >>= 1
         if n:
-            base = mul(base, base)
+            base = base * base
     return result
 
 
@@ -71,7 +72,8 @@ class Series:
     """Truncated Taylor series: dict from exponent tuple to coefficient.
 
     Absent keys are zero. All coefficients with total degree <= order are
-    trustworthy; nothing of higher degree is stored.
+    trustworthy; nothing of higher degree is stored. The operators ``+ - * /``
+    accept a float on either side and lift it through :meth:`constant`.
     """
 
     __slots__ = ("dim", "order", "c")
@@ -109,33 +111,45 @@ class Series:
             fact *= _FACTORIAL[a]
         return self.c.get(tuple(alpha), 0.0) * fact
 
-    def neg(self) -> "Series":
+    def _lift(self, other) -> "Series":
+        if isinstance(other, Series):
+            return other
+        return Series.constant(self.dim, self.order, other)
+
+    def __neg__(self) -> "Series":
         return Series(self.dim, self.order, {k: -v for k, v in self.c.items()})
 
-    def add(self, other: "Series") -> "Series":
-        order = min(self.order, other.order)
+    def __add__(self, other) -> "Series":
+        other = self._lift(other)
         out = dict(self.c)
         for k, v in other.c.items():
             if k in out:
                 out[k] = out[k] + v
             else:
                 out[k] = v
-        return Series(self.dim, order, out)
+        return Series(self.dim, min(self.order, other.order), out)
 
-    def sub(self, other: "Series") -> "Series":
-        order = min(self.order, other.order)
+    def __radd__(self, other) -> "Series":
+        return self._lift(other) + self
+
+    def __sub__(self, other) -> "Series":
+        other = self._lift(other)
         out = dict(self.c)
         for k, v in other.c.items():
             if k in out:
                 out[k] = out[k] - v
             else:
                 out[k] = -v
-        return Series(self.dim, order, out)
+        return Series(self.dim, min(self.order, other.order), out)
+
+    def __rsub__(self, other) -> "Series":
+        return self._lift(other) - self
 
     def scale(self, factor: float) -> "Series":
         return Series(self.dim, self.order, {k: v * factor for k, v in self.c.items()})
 
-    def mul(self, other: "Series") -> "Series":
+    def __mul__(self, other) -> "Series":
+        other = self._lift(other)
         order = min(self.order, other.order)
         out: dict[tuple[int, ...], float] = {}
         for ka, va in self.c.items():
@@ -150,11 +164,16 @@ class Series:
                     out[key] = va * vb
         return Series(self.dim, order, out)
 
-    def div(self, other: "Series", where: str = "") -> "Series":
-        """Long division; the order-0 quotient is the exact float quotient."""
+    def __rmul__(self, other) -> "Series":
+        return self._lift(other) * self
+
+    def __truediv__(self, other) -> "Series":
+        """Long division; the divisor's value must not vanish.
+
+        The order-0 quotient is the exact float quotient.
+        """
+        other = self._lift(other)
         b0 = other.value
-        if b0 == 0.0:
-            raise DomainError(f"division by a coefficient that vanishes at the point{where}")
         order = min(self.order, other.order)
         zero = (0,) * self.dim
         quot: dict[tuple[int, ...], float] = {}
@@ -174,14 +193,8 @@ class Series:
                 quot[gamma] = val
         return Series(self.dim, order, quot)
 
-    def ipow(self, n: int, where: str = "") -> "Series":
-        if n == 0:
-            return Series.constant(self.dim, self.order, 1.0)
-        if n < 0:
-            denom = _ipow_positive(self, -n, Series.mul)
-            one = Series.constant(self.dim, self.order, 1.0)
-            return one.div(denom, where)
-        return _ipow_positive(self, n, Series.mul)
+    def __rtruediv__(self, other) -> "Series":
+        return self._lift(other) / self
 
     def shift_deriv(self, axis: int) -> "Series":
         """Series of the partial derivative along one axis."""
@@ -216,56 +229,48 @@ def compose_many(outer: Series, parts: list[Series], dim: int, order: int) -> Se
             if k == 0:
                 continue
             while len(powers[j]) <= k:
-                powers[j].append(powers[j][-1].mul(powers[j][1]))
+                powers[j].append(powers[j][-1] * powers[j][1])
             pw = powers[j][k]
-            term = pw if term is None else term.mul(pw)
+            term = pw if term is None else term * pw
         if term is None:
             continue
-        result = result.add(term.scale(coeff))
+        result = result + term.scale(coeff)
     return result
 
 
-def _snippet(node: Node) -> str:
-    from .nodes import render
-
+def _domain_error(message: str, node: Node) -> DomainError:
+    """The error for a failed check, naming the offending subexpression."""
     try:
         text = render(node)
     except Exception:
-        return ""
+        return DomainError(message)
     if len(text) > 48:
         text = text[:45] + "..."
-    return f" in '{text}'"
+    return DomainError(f"{message} in '{text}'")
 
 
-def _coeffs_sin(x0: float, order: int) -> list[float]:
-    s, c = math.sin(x0), math.cos(x0)
-    cycle = (s, c, -s, -c)
-    return [cycle[j % 4] / _FACTORIAL[j] for j in range(order + 1)]
+def _value(x: float | Series) -> float:
+    return x.value if isinstance(x, Series) else x
 
 
-def _coeffs_cos(x0: float, order: int) -> list[float]:
-    s, c = math.sin(x0), math.cos(x0)
-    cycle = (c, -s, -c, s)
-    return [cycle[j % 4] / _FACTORIAL[j] for j in range(order + 1)]
-
-
-def _coeffs_exp(x0: float, order: int) -> list[float]:
-    v = math.exp(x0)
-    return [v / _FACTORIAL[j] for j in range(order + 1)]
-
-
-def series_for_function(fn: str, x0: float, order: int, node: Node) -> list[float]:
-    """Taylor coefficients of a library function around x0."""
+def _library_coefficients(node: Call, x0: float, order: int) -> list[float]:
+    """Taylor coefficients of the node's function around x0, up to the order only."""
+    fn = node.fn
     try:
-        if fn == "sin":
-            return _coeffs_sin(x0, order)
-        if fn == "cos":
-            return _coeffs_cos(x0, order)
+        if fn in ("sin", "cos"):
+            if math.isinf(x0):
+                raise _domain_error(f"{fn} of an infinite value", node)
+            if order == 0:
+                return [math.sin(x0) if fn == "sin" else math.cos(x0)]
+            s, c = math.sin(x0), math.cos(x0)
+            cycle = (s, c, -s, -c) if fn == "sin" else (c, -s, -c, s)
+            return [cycle[j % 4] / _FACTORIAL[j] for j in range(order + 1)]
         if fn == "exp":
-            return _coeffs_exp(x0, order)
+            v = math.exp(x0)
+            return [v / _FACTORIAL[j] for j in range(order + 1)]
         if fn == "log":
             if x0 <= 0.0:
-                raise DomainError(f"log of a non-positive value{_snippet(node)}")
+                raise _domain_error("log of a non-positive value", node)
             out = [math.log(x0)]
             power = x0
             for j in range(1, order + 1):
@@ -274,138 +279,114 @@ def series_for_function(fn: str, x0: float, order: int, node: Node) -> list[floa
             return out
         if fn == "sqrt":
             if x0 < 0.0:
-                raise DomainError(f"sqrt of a negative value{_snippet(node)}")
+                raise _domain_error("sqrt of a negative value", node)
             if x0 == 0.0 and order >= 1:
-                raise DomainError(f"derivative of sqrt at zero{_snippet(node)}")
+                raise _domain_error("derivative of sqrt at zero", node)
             out = [math.sqrt(x0)]
             for j in range(1, order + 1):
                 out.append(out[j - 1] * (1.5 - j) / (j * x0))
             return out
         if fn == "abs":
             if x0 == 0.0 and order >= 1:
-                raise DomainError(f"derivative of abs at zero{_snippet(node)}")
+                raise _domain_error("derivative of abs at zero", node)
             out = [abs(x0)] + [0.0] * order
             if order >= 1:
                 out[1] = 1.0 if x0 > 0.0 else -1.0
             return out
     except OverflowError:
-        raise DomainError(f"overflow evaluating {fn}{_snippet(node)}") from None
+        raise _domain_error(f"overflow evaluating {fn}", node) from None
     raise DomainError(f"unknown function {fn}")
 
 
-def eval_series(node: Node, point: tuple[float, ...], order: int) -> Series:
-    """Taylor series of the expression around the point, to the given order."""
-    if order > MAX_ORDER:
-        raise OrderLimitError(
-            f"jet order {order} exceeds the supported maximum {MAX_ORDER}"
-        )
-    dim = len(point)
-    if isinstance(node, Lit):
-        return Series.constant(dim, order, node.value)
-    if isinstance(node, Konst):
-        return Series.constant(dim, order, node.value)
-    if isinstance(node, Var):
-        return Series.coordinate(dim, order, node.index, point[node.index])
-    if isinstance(node, Neg):
-        return eval_series(node.arg, point, order).neg()
-    if isinstance(node, Add):
-        return eval_series(node.lhs, point, order).add(eval_series(node.rhs, point, order))
-    if isinstance(node, Sub):
-        return eval_series(node.lhs, point, order).sub(eval_series(node.rhs, point, order))
-    if isinstance(node, Mul):
-        return eval_series(node.lhs, point, order).mul(eval_series(node.rhs, point, order))
-    if isinstance(node, Div):
-        num = eval_series(node.lhs, point, order)
-        den = eval_series(node.rhs, point, order)
-        return num.div(den, _snippet(node))
-    if isinstance(node, Pow):
-        base = eval_series(node.base, point, order)
-        if node.power < 0 and base.value == 0.0:
-            raise DomainError(f"negative power of a vanishing base{_snippet(node)}")
-        return base.ipow(node.power, _snippet(node))
-    if isinstance(node, Call):
-        inner = eval_series(node.arg, point, order)
-        coeffs = series_for_function(node.fn, inner.value, order, node)
-        u = inner.drop_constant()
-        outer = Series(1, order, {(j,): coeffs[j] for j in range(order + 1) if coeffs[j] != 0.0 or j == 0})
-        return compose_many(outer, [u], dim, order)
-    if isinstance(node, Deriv):
-        need = order + len(node.axes)
-        if need > MAX_ORDER:
-            raise OrderLimitError(
-                f"jet order {order} of a derivative of order {len(node.axes)} "
-                f"needs operand order {need}, above the supported maximum {MAX_ORDER}"
-            )
-        s = eval_series(node.operand, point, need)
-        for axis in node.axes:
-            s = s.shift_deriv(axis)
-        return s
-    if isinstance(node, Compose):
-        part_series = [eval_series(p, point, order) for p in node.parts]
-        inner_point = tuple(p.value for p in part_series)
-        outer = eval_series(node.outer, inner_point, order)
-        us = [p.drop_constant() for p in part_series]
-        return compose_many(outer, us, dim, order)
-    raise TypeError(f"cannot evaluate {node!r}")
-
-
-def eval_plain(node: Node, point: tuple[float, ...]) -> float:
-    """Plain float evaluation; Deriv falls back to the series path."""
-    if isinstance(node, Lit):
-        return node.value
-    if isinstance(node, Konst):
-        return node.value
-    if isinstance(node, Var):
+def _var(node: Var, point, order):
+    if order == 0:
         return point[node.index]
-    if isinstance(node, Neg):
-        return -eval_plain(node.arg, point)
-    if isinstance(node, Add):
-        return eval_plain(node.lhs, point) + eval_plain(node.rhs, point)
-    if isinstance(node, Sub):
-        return eval_plain(node.lhs, point) - eval_plain(node.rhs, point)
-    if isinstance(node, Mul):
-        return eval_plain(node.lhs, point) * eval_plain(node.rhs, point)
-    if isinstance(node, Div):
-        den = eval_plain(node.rhs, point)
-        if den == 0.0:
-            raise DomainError(f"division by a coefficient that vanishes at the point{_snippet(node)}")
-        return eval_plain(node.lhs, point) / den
-    if isinstance(node, Pow):
-        base = eval_plain(node.base, point)
-        if node.power == 0:
-            return 1.0
-        if node.power < 0:
-            if base == 0.0:
-                raise DomainError(f"negative power of a vanishing base{_snippet(node)}")
-            denom = _ipow_positive(base, -node.power, lambda a, b: a * b)
-            return 1.0 / denom
-        return _ipow_positive(base, node.power, lambda a, b: a * b)
-    if isinstance(node, Call):
-        x = eval_plain(node.arg, point)
-        try:
-            if node.fn == "sin":
-                return math.sin(x)
-            if node.fn == "cos":
-                return math.cos(x)
-            if node.fn == "exp":
-                return math.exp(x)
-            if node.fn == "log":
-                if x <= 0.0:
-                    raise DomainError(f"log of a non-positive value{_snippet(node)}")
-                return math.log(x)
-            if node.fn == "sqrt":
-                if x < 0.0:
-                    raise DomainError(f"sqrt of a negative value{_snippet(node)}")
-                return math.sqrt(x)
-            if node.fn == "abs":
-                return abs(x)
-        except OverflowError:
-            raise DomainError(f"overflow evaluating {node.fn}{_snippet(node)}") from None
-        raise DomainError(f"unknown function {node.fn}")
-    if isinstance(node, Deriv):
-        s = eval_series(node.operand, point, len(node.axes))
+    return Series.coordinate(len(point), order, node.index, point[node.index])
+
+
+def _neg(node: Neg, point, order):
+    return -evaluate(node.arg, point, order)
+
+
+def _add(node: Add, point, order):
+    return evaluate(node.lhs, point, order) + evaluate(node.rhs, point, order)
+
+
+def _sub(node: Sub, point, order):
+    return evaluate(node.lhs, point, order) - evaluate(node.rhs, point, order)
+
+
+def _mul(node: Mul, point, order):
+    return evaluate(node.lhs, point, order) * evaluate(node.rhs, point, order)
+
+
+def _div(node: Div, point, order):
+    num = evaluate(node.lhs, point, order)
+    den = evaluate(node.rhs, point, order)
+    if _value(den) == 0.0:
+        raise _domain_error("division by a coefficient that vanishes at the point", node)
+    return num / den
+
+
+def _pow(node: Pow, point, order):
+    base = evaluate(node.base, point, order)
+    if node.power == 0:
+        return 1.0
+    if node.power > 0:
+        return _ipow(base, node.power)
+    denom = _ipow(base, -node.power)
+    if _value(denom) == 0.0:
+        raise _domain_error("negative power of a vanishing or underflowing base", node)
+    return 1.0 / denom
+
+
+def _call(node: Call, point, order):
+    inner = evaluate(node.arg, point, order)
+    if not isinstance(inner, Series):
+        return _library_coefficients(node, inner, 0)[0]
+    coeffs = _library_coefficients(node, inner.value, order)
+    outer = Series(1, order, {(j,): coeffs[j] for j in range(order + 1) if coeffs[j] != 0.0 or j == 0})
+    return compose_many(outer, [inner.drop_constant()], len(point), order)
+
+
+def _deriv(node: Deriv, point, order):
+    need = order + len(node.axes)
+    if need > MAX_ORDER:
+        raise OrderLimitError(
+            f"jet order {order} of a derivative of order {len(node.axes)} "
+            f"needs operand order {need}, above the supported maximum {MAX_ORDER}"
+        )
+    s = evaluate(node.operand, point, need)
+    if not isinstance(s, Series):
+        return 0.0
+    if order == 0:
         return s.partial(node.axes)
-    if isinstance(node, Compose):
-        inner_point = tuple(eval_plain(p, point) for p in node.parts)
-        return eval_plain(node.outer, inner_point)
-    raise TypeError(f"cannot evaluate {node!r}")
+    for axis in node.axes:
+        s = s.shift_deriv(axis)
+    return s
+
+
+def _compose(node: Compose, point, order):
+    parts = [evaluate(p, point, order) for p in node.parts]
+    outer = evaluate(node.outer, tuple(_value(p) for p in parts), order)
+    if not isinstance(outer, Series):
+        return outer
+    dim = len(point)
+    us = [p.drop_constant() if isinstance(p, Series) else Series(dim, order, {}) for p in parts]
+    return compose_many(outer, us, dim, order)
+
+
+_RULES = {
+    Lit: lambda node, point, order: node.value,
+    Var: _var, Neg: _neg, Add: _add, Sub: _sub, Mul: _mul, Div: _div,
+    Pow: _pow, Call: _call, Deriv: _deriv, Compose: _compose,
+}
+
+
+def evaluate(node: Node, point: tuple[float, ...], order: int) -> float | Series:
+    """Value (order 0) or Taylor series (order >= 1) of the expression at the point.
+
+    A subexpression that does not depend on the coordinates evaluates to a
+    float at every order. The caller checks ``order <= MAX_ORDER``.
+    """
+    return _RULES[type(node)](node, point, order)

@@ -22,9 +22,8 @@ import numpy as np
 # module; they stay importable from here with the rest of the flow layer.
 from .exterior import VectorField, divergence, sampled_max, trace_m_squared  # noqa: F401
 from .fieldexpr import Chart, ChartError, ScalarField
-from .fieldexpr.parse import parse_field
 from .ma4 import DEGENERATE, ELLIPTIC, HYPERBOLIC, hessian_det
-from .ma6 import euler_pair, verify_bilagrangian
+from .ma6 import coefficient_field, euler_pair, verify_bilagrangian
 
 
 def plane_chart() -> Chart:
@@ -33,16 +32,6 @@ def plane_chart() -> Chart:
 
 def space_chart() -> Chart:
     return Chart(("x1", "x2", "x3"))
-
-
-def _coerce(field: ScalarField | str | float, chart: Chart) -> ScalarField:
-    if isinstance(field, ScalarField):
-        if field.chart != chart:
-            raise ChartError("field lives on a different chart")
-        return field
-    if isinstance(field, str):
-        return parse_field(field, chart)
-    return ScalarField.constant(chart, float(field))
 
 
 def velocity_gradient(u: VectorField) -> list[list[ScalarField]]:
@@ -125,7 +114,7 @@ class Flow2D:
     @classmethod
     def from_stream(cls, psi: ScalarField | str, chart: Chart | None = None) -> "Flow2D":
         chart = chart if chart is not None else plane_chart()
-        psi_field = _coerce(psi, chart)
+        psi_field = coefficient_field(psi, chart)
         return cls(psi_field, stream_velocity(psi_field))
 
 
@@ -133,7 +122,7 @@ def ma_residual_2d(
     psi: ScalarField, a: ScalarField | str | float, point: Sequence[float]
 ) -> float:
     """Hessian determinant of psi minus the prescribed coefficient."""
-    a_field = _coerce(a, psi.chart)
+    a_field = coefficient_field(a, psi.chart)
     return (hessian_det(psi) - a_field).eval(point)
 
 
@@ -143,13 +132,6 @@ def lift_plane_field(field: ScalarField, chart3: Chart | None = None) -> ScalarF
     x1 = ScalarField.coordinate(chart3, 0)
     x2 = ScalarField.coordinate(chart3, 1)
     return field.compose(chart3, (x1, x2))
-
-
-def extended_stream(psi: ScalarField, gamma: float) -> ScalarField:
-    """Spatial potential psi(x1, x2) - (3/8) gamma^2 x3^2."""
-    chart3 = space_chart()
-    x3 = ScalarField.coordinate(chart3, 2)
-    return lift_plane_field(psi, chart3) - x3 * x3 * (0.375 * float(gamma) ** 2)
 
 
 @dataclass(frozen=True)
@@ -204,7 +186,7 @@ def stretched_solution_check(
     Points are spatial; their first two components sample the plane.
     """
     plane = psi.chart
-    a_field = _coerce(a, plane)
+    a_field = coefficient_field(a, plane)
     points2 = [(p[0], p[1]) for p in points]
     res_i = stretched_residual_field(psi, a_field, gamma)
     r1 = sampled_max(points2, res_i.eval).value

@@ -8,6 +8,7 @@ normalized pair generates an almost complex or almost product triple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -34,12 +35,27 @@ from .exterior import (
     sup_norm,
     wedge,
 )
-from .fieldexpr import Chart, ScalarField, absval, sqrt
+from .fieldexpr import Chart, DomainError, ScalarField, absval, sqrt
 from .fieldexpr.parse import parse_field
 
 ELLIPTIC = "elliptic"
 HYPERBOLIC = "hyperbolic"
 DEGENERATE = "degenerate"
+
+
+def classify_value(value: float, point: Sequence[float], tol: float | None = None) -> str:
+    """Type from the sign of the coefficient's value at a point; the default
+    tolerance is 1e-10, relative above 1. A non-finite value has no type."""
+    if not math.isfinite(value):
+        where = tuple(float(c) for c in point)
+        raise DomainError(f"coefficient is {value} at {where}, which has no type")
+    if tol is None:
+        tol = 1e-10 * max(1.0, abs(value))
+    if value > tol:
+        return ELLIPTIC
+    if value < -tol:
+        return HYPERBOLIC
+    return DEGENERATE
 
 
 def phase_chart() -> Chart:
@@ -128,14 +144,7 @@ class MAStructure4:
         return operator_from_pair(self.omega, self.big_omega)
 
     def classify(self, point: Sequence[float], tol: float | None = None) -> str:
-        v = self.pfaffian.eval(point)
-        if tol is None:
-            tol = 1e-10 * max(1.0, abs(v))
-        if v > tol:
-            return ELLIPTIC
-        if v < -tol:
-            return HYPERBOLIC
-        return DEGENERATE
+        return classify_value(self.pfaffian.eval(point), point, tol)
 
     def normalized_omega(self) -> DifferentialForm:
         """omega / sqrt(|pfaffian|); closed iff the structure is integrable."""

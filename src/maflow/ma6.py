@@ -79,10 +79,6 @@ def canonical_symplectic(chart: Chart) -> DifferentialForm:
     return DifferentialForm.build(chart, 2, [((i, i + 3), 1.0) for i in range(3)])
 
 
-def phase_volume(chart: Chart) -> DifferentialForm:
-    return volume_form(chart)
-
-
 def coefficient_field(a: ScalarField | str | float, chart: Chart) -> ScalarField:
     """Coerce a coefficient given as field, expression text, or number."""
     if isinstance(a, ScalarField):

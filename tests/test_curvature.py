@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maflow import curvature
+from maflow import cli, curvature
 from maflow.exterior import SymmetricTensorField
 from maflow.fieldexpr import Chart, parse_field
 from maflow.sampling import sample_points
@@ -188,3 +188,13 @@ def test_metric_jets_match_derivative_fields_bit_for_bit(g):
         expect2 = [[[[entries[i][j].derivative(k, m).eval(p) for j in range(n)]
                      for i in range(n)] for m in range(n)] for k in range(n)]
         assert np.array_equal(d2, np.array(expect2))
+
+
+def test_unimodular_metric_with_large_entries_is_not_singular(capsys):
+    # |det g| = 1 for burgers-cy, however large 2a grows.
+    code = cli.main(["curvature", "--metric", "burgers-cy", "--a", "60", "--samples", "10"])
+    assert code == 0, capsys.readouterr().out
+    for a in ("100*x1", "1e6", "1e6*x1"):
+        out = curvature.curvature_report(curvature.burgers_metric(a), PTS6)
+        assert out["singular_points"] == []
+        assert out["points_checked"] == len(PTS6)

@@ -8,7 +8,7 @@ import pytest
 
 from maflow import cli
 from maflow.exterior import Peak, sampled_max, sup_norm
-from maflow.fieldexpr import Chart, ExprSyntaxError, parse_field
+from maflow.fieldexpr import Chart, DomainError, ExprSyntaxError, parse_field
 from maflow.fieldexpr.nodes import fmt_number
 from maflow.ma4 import flow_structure
 from maflow.sampling import sample_points
@@ -124,3 +124,54 @@ def test_folded_overflow_in_shear_reduction_leaves_through_the_envelope(capsys):
     )
     assert code == 2
     assert "residual inf" in json.loads(out)["error"]["message"]
+
+
+def test_classify_rejects_an_infinite_coefficient(capsys):
+    code, out = run_cli(capsys, "classify", "--a", "1e300*1e300", "--at", "0.1,0.2")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["stage"] == "compute"
+    assert "(0.1, 0.2)" in error["message"]
+
+
+def test_classify_rejects_a_coefficient_that_overflows_at_the_point(capsys):
+    code, out = run_cli(capsys, "classify", "--a", "x1^2-x1", "--at", "1e300,0")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["stage"] == "compute"
+    assert "(1e+300, 0.0)" in error["message"]
+
+
+def test_structure_classify_rejects_a_nan_coefficient():
+    s = flow_structure("x1*x1 - x1*x1")
+    with pytest.raises(DomainError, match=r"nan at \(1e\+300, 0.0, 0.0, 0.0\)"):
+        s.classify(np.array([1e300, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_eigenvalue_failure_is_a_compute_error(capsys):
+    code, out = run_cli(
+        capsys, "hitchin", "--structure", "burgers-cy", "--a", "1e300*1e300",
+        "--samples", "5",
+    )
+    assert code == 2
+    assert json.loads(out)["error"]["stage"] == "compute"
+
+
+@pytest.mark.parametrize("text", ["sin(1e300*1e300)", "x1^(-400)"])
+def test_infinite_sine_and_underflowing_power_are_compute_errors(capsys, text):
+    code, out = run_cli(capsys, "triple", "--a", text, "--samples", "20")
+    assert code == 2
+    assert json.loads(out)["error"]["stage"] == "compute"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_infinite_metric_fails_instead_of_being_singular(capsys):
+    code, out = run_cli(
+        capsys, "curvature", "--metric", "burgers-cy", "--a", "1e300*1e300",
+        "--samples", "5", "--json",
+    )
+    assert code == 1
+    check = json.loads(out)["checks"][0]
+    assert not check["passed"]
+    assert check["residual"] == math.inf
