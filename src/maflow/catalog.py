@@ -15,8 +15,8 @@ from typing import Callable
 import numpy as np
 
 from . import curvature, fluids, ma4, ma6, reduction
-from .exterior import DifferentialForm, sampled_max, sup_norm
-from .fieldexpr import ScalarField
+from .exterior import DifferentialForm, sampled_max, stacked, sup_norm
+from .fieldexpr import ScalarField, eval_many
 from .fieldexpr.parse import parse_field
 from .report import CheckResult, Report
 from .sampling import RunConfig, run_points
@@ -69,10 +69,12 @@ def _vec_flow_pfaffians(config: RunConfig, inject: bool) -> CheckResult:
     sign = -1.0 if inject else 1.0
     pf = s.pfaffian
     pf_dual = s.dual_structure().pfaffian
-    worst = sampled_max(
-        points,
-        lambda p: [pf.eval(p) - sign * a.eval(p), pf_dual.eval(p) + sign * a.eval(p)],
-    ).value
+
+    def residual(sample):
+        pf_v, a_v, dual_v = eval_many([pf, a, pf_dual], sample)
+        return np.stack([pf_v - sign * a_v, dual_v + sign * a_v], axis=1)
+
+    worst = sampled_max(points, residual).value
     return CheckResult("flow-pfaffians", worst < 1e-12, worst, 1e-12)
 
 
@@ -104,7 +106,7 @@ def _vec_vortex_invariant(config: RunConfig, inject: bool) -> CheckResult:
     s = ma6.burgers_structure("x1^2 + x2^2")
     points = run_points(6, config)
     lam = s.pfaffian
-    worst = sampled_max(points, lambda p: lam.eval(p) - 1.0).value
+    worst = sampled_max(points, lambda sample: eval_many([lam], sample)[0] - 1.0).value
     return CheckResult("vortex-invariant", worst < 1e-12, worst, 1e-12)
 
 
@@ -113,10 +115,11 @@ def _vec_vortex_tensor(config: RunConfig, inject: bool) -> CheckResult:
     a = parse_field("x1^2 + x2^2", s.chart)
     points = run_points(6, config)
 
-    def residual(p):
-        expected = np.diag([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0])
-        expected[5, 2] = 2.0 * a.eval(p)
-        return s.tensor.eval(p) - expected
+    def residual(sample):
+        a_v, tensor = stacked(sample, a, s.tensor)
+        expected = np.tile(np.diag([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0]), (len(sample), 1, 1))
+        expected[:, 5, 2] = 2.0 * a_v
+        return tensor - expected
 
     worst = sampled_max(points, residual).value
     return CheckResult("vortex-tensor-matrix", worst < 1e-12, worst, 1e-12)
@@ -128,13 +131,14 @@ def _vec_vortex_metric(config: RunConfig, inject: bool) -> CheckResult:
     g = s.metric()
     points = run_points(6, config)
 
-    def residual(p):
-        expected = np.zeros((6, 6))
-        expected[0, 3] = expected[3, 0] = 1.0
-        expected[1, 4] = expected[4, 1] = 1.0
-        expected[2, 5] = expected[5, 2] = -1.0
-        expected[2, 2] = 2.0 * a.eval(p)
-        return g.eval(p) - expected
+    def residual(sample):
+        a_v, metric = stacked(sample, a, g)
+        expected = np.zeros((len(sample), 6, 6))
+        expected[:, 0, 3] = expected[:, 3, 0] = 1.0
+        expected[:, 1, 4] = expected[:, 4, 1] = 1.0
+        expected[:, 2, 5] = expected[:, 5, 2] = -1.0
+        expected[:, 2, 2] = 2.0 * a_v
+        return metric - expected
 
     worst = sampled_max(points, residual).value
     sig = g.signature((0.5, 0.25, 0.0, 0.0, 0.0, 0.0))

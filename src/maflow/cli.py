@@ -6,7 +6,7 @@ summaries go to stdout by default; --json switches stdout to the report
 itself and --output writes the report to a file in either mode. Exit codes:
 0 when every check passes, 1 when a check fails (a non-finite residual
 always fails), 2 on input or compute errors, which are printed as a JSON
-envelope {stage, message, offset?}.
+envelope {stage, message, offset?, point?}.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import catalog, curvature, fluids, ma4, ma6, reduction
 from .exterior import DifferentialForm, NondegeneracyError, sup_norm
-from .fieldexpr import ChartError, DomainError, ExpressionError, parse_field
+from .fieldexpr import ChartError, DomainError, ExpressionError, eval_many, parse_field
 from .fieldexpr.nodes import const_value, fmt_number, to_plain
 from .ma6 import NondegeneracyViolation
 from .reduction import InvarianceError
@@ -127,13 +127,21 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> Report:
     rows = []
     counts = {ma4.ELLIPTIC: 0, ma4.HYPERBOLIC: 0, ma4.DEGENERATE: 0}
     display = []
-    for p in points:
-        v = float(coeff.eval(p))
+    failure = None
+    try:
+        values = eval_many([coeff], points)[0]
+    except DomainError as exc:
+        # the points before the failing one are classified first
+        failure = exc
+        values = eval_many([coeff], points[: exc.index])[0]
+    for p, v in zip(points, values.tolist()):
         kind = ma4.classify_value(v, p)
         counts[kind] += 1
         label = kind.capitalize()
         rows.append({"point": list(p), "a": v, "class": label})
         display.append(f"({p[0]}, {p[1]}) -> {label} (a = {v})")
+    if failure is not None:
+        raise failure
     report.data = {"points": rows, "counts": counts, "display": display}
     return report
 
@@ -141,7 +149,8 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> Report:
 def cmd_triple(args: argparse.Namespace, config: RunConfig) -> Report:
     structure = ma4.flow_structure(parse_field(args.a, ma4.phase_chart()))
     points = run_points(4, config)
-    kept = [p for p in points if abs(structure.pfaffian.eval(p)) > 1e-6]
+    nonzero = np.abs(eval_many([structure.pfaffian], points)[0]) > 1e-6
+    kept = [p for p, keep in zip(points, nonzero) if keep]
     if not kept:
         raise InputSpecError("coefficient vanishes on the whole sample; nothing to check")
     tol = config.tol if config.tol is not None else 1e-10
@@ -464,7 +473,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         NondegeneracyViolation,
         curvature.SingularMetricError,
     ) as exc:
-        print(error_envelope("compute", str(exc)))
+        print(error_envelope("compute", str(exc), point=getattr(exc, "point", None)))
         return 2
     except ExpressionError as exc:
         print(error_envelope("parse", str(exc), exc.offset))

@@ -184,17 +184,22 @@ def _curvature_pass(
     tensor = _tensor_of(g)
     singular = []
 
-    def residual(p):
-        try:
-            values, ginv, d1, d2 = _jets_at(tensor, p)
-        except SingularMetricError:
-            singular.append(tuple(float(c) for c in p))
-            return {}
-        full = _riemann(ginv, d1, d2)
-        return {"metric": values, "riemann": full, "ricci": np.einsum("iijk->jk", full)}
+    def residual(sample):
+        # per point, the largest entry of each tensor; a singular point adds zeros
+        peaks = np.zeros((len(sample), 3))
+        for row, p in zip(peaks, sample):
+            try:
+                values, ginv, d1, d2 = _jets_at(tensor, tuple(p.tolist()))
+            except SingularMetricError:
+                singular.append(tuple(p.tolist()))
+                continue
+            full = _riemann(ginv, d1, d2)
+            for k, part in enumerate((values, full, np.einsum("iijk->jk", full))):
+                row[k] = np.max(np.abs(part))
+        return {"metric": peaks[:, 0], "riemann": peaks[:, 1], "ricci": peaks[:, 2]}
 
     peaks = sampled_max(points, residual).parts
-    if not peaks:
+    if len(singular) == len(points):
         raise SingularMetricError("metric is singular at every sample point")
     common = {
         "threshold": 1e-9 * max(1.0, peaks["metric"].value),

@@ -15,7 +15,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fieldexpr import Chart, ChartError, ScalarField
+from .fieldexpr import Chart, ChartError, ScalarField, eval_many
+from .fieldexpr.field import BATCH
 
 
 class NondegeneracyError(ValueError):
@@ -100,15 +101,7 @@ class DifferentialForm:
 
     def matrix_at(self, point: Sequence[float]) -> np.ndarray:
         """Numeric form_to_matrix: entry (i, j) is the value on e_i, e_j."""
-        if self.degree != 2:
-            raise ValueError("matrix representation needs a 2-form")
-        n = self.chart.dim
-        out = np.zeros((n, n))
-        for (i, j), f in self.terms.items():
-            v = f.eval(point)
-            out[i, j] = v
-            out[j, i] = -v
-        return out
+        return stacked([point], self)[0][0]
 
     def apply(self, point: Sequence[float], *vectors: Sequence[float]) -> float:
         """Evaluate on concrete vectors at a point."""
@@ -440,22 +433,12 @@ class SymmetricTensorField:
         return cls(chart, tuple(tuple(r) for r in conv))
 
     def eval(self, point: Sequence[float]) -> np.ndarray:
-        n = self.chart.dim
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                v = self.entries[i][j].eval(point)
-                out[i, j] = v
-                out[j, i] = v
-        return out
+        return stacked([point], self)[0][0]
 
     def signature(self, point: Sequence[float], tol: float = 1e-9) -> tuple[int, int, int]:
         """Counts of (positive, negative, zero) eigenvalues at the point."""
-        vals = np.linalg.eigvalsh(self.eval(point))
-        scale = max(np.max(np.abs(vals)), 1.0)
-        pos = int(np.sum(vals > tol * scale))
-        neg = int(np.sum(vals < -tol * scale))
-        return pos, neg, self.chart.dim - pos - neg
+        pos, neg, zero = signatures(stacked([point], self)[0], tol)[0]
+        return int(pos), int(neg), int(zero)
 
     def to_dict(self) -> dict:
         return {
@@ -493,12 +476,7 @@ class OperatorField:
         return cls.from_rows(chart, [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)])
 
     def eval(self, point: Sequence[float]) -> np.ndarray:
-        n = self.chart.dim
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = self.rows[i][j].eval(point)
-        return out
+        return stacked([point], self)[0][0]
 
     def __matmul__(self, other: "OperatorField") -> "OperatorField":
         if self.chart != other.chart:
@@ -549,6 +527,17 @@ class OperatorField:
         for i in range(self.chart.dim):
             acc = acc + self.rows[i][i]
         return acc
+
+
+def signatures(matrices: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """(positive, negative, zero) eigenvalue counts of each matrix in an
+    (N, n, n) stack of symmetric matrices; a count is significant above
+    tol times the largest eigenvalue magnitude, but at least tol."""
+    vals = np.linalg.eigvalsh(matrices)
+    bound = tol * np.maximum(np.max(np.abs(vals), axis=-1), 1.0)[:, np.newaxis]
+    pos = np.sum(vals > bound, axis=-1)
+    neg = np.sum(vals < -bound, axis=-1)
+    return np.stack([pos, neg, matrices.shape[-1] - pos - neg], axis=-1)
 
 
 def matmul_fields(
@@ -670,35 +659,107 @@ class Peak(NamedTuple):
 
 
 def sampled_max(
-    points: Iterable[Sequence[float]], residual: Callable[[Sequence[float]], object]
+    points: Sequence[Sequence[float]] | np.ndarray, residual: Callable[[np.ndarray], object]
 ) -> Peak:
     """Largest absolute residual over the sample points and where it peaks.
 
-    ``residual(p)`` returns a number, an array, or a dict of them by name.
-    A non-finite value counts as inf, so it cannot pass a ``< tol`` test.
-    The witness is the first point that raises the maximum above zero; an
-    empty sample gives 0.0 with no witness.
+    ``residual(sample)`` receives the sample as an (N, dim) array, in
+    consecutive slices of at most ``BATCH`` points (as ``eval_many`` walks
+    them, so that a check's memory does not grow with N), and returns an array
+    with the point on axis 0, or a dict of them by name. It runs under
+    ``np.errstate(all="ignore")``: overflow and invalid arithmetic show up
+    as non-finite residuals, not as warnings. A non-finite value counts as
+    inf, so it cannot pass a ``< tol`` test. The witness is the first point
+    attaining the maximum, when that is above zero; an empty sample gives
+    0.0 with no witness and no named parts.
     """
+    sample = np.asarray(points, dtype=float)
+    maxima: dict = {}
+    with np.errstate(all="ignore"):
+        for start in range(0, len(sample), BATCH):
+            batch = sample[start : start + BATCH]
+            r = residual(batch)
+            for name, part in r.items() if isinstance(r, dict) else ((None, r),):
+                part = np.abs(np.asarray(part, dtype=float)).reshape(len(batch), -1)
+                maxima.setdefault(name, []).append(part.max(axis=1, initial=0.0))
     peaks: dict = {}
-    for p in points:
-        r = residual(p)
-        for name, part in r.items() if isinstance(r, dict) else ((None, r),):
-            v = float(np.max(np.abs(part), initial=0.0))
-            if not math.isfinite(v):
-                v = math.inf
-            if v > peaks.setdefault(name, (0.0, None))[0]:
-                peaks[name] = (v, tuple(float(c) for c in p))
+    for name, parts in maxima.items():
+        per_point = np.concatenate(parts)
+        per_point[~np.isfinite(per_point)] = math.inf
+        i = int(np.argmax(per_point))
+        value = float(per_point[i])
+        peaks[name] = (value, tuple(float(c) for c in sample[i]) if value > 0.0 else None)
     value, witness = max(peaks.values(), key=lambda peak: peak[0], default=(0.0, None))
     parts = {} if None in peaks else {k: Peak(v, w, {}) for k, (v, w) in peaks.items()}
     return Peak(value, witness, parts)
 
 
+def stacked(points: Sequence[Sequence[float]] | np.ndarray, *items) -> list[np.ndarray]:
+    """Values of fields, operators, symmetric tensors and 2-forms over a sample.
+
+    Every entry of every item goes into one ``eval_many`` call, in item
+    order, so subexpressions the items share run once. A ScalarField gives
+    shape (N,), a list of fields (N, k), an OperatorField or a
+    SymmetricTensorField (N, n, n) and a 2-form its matrix (N, n, n), each
+    bit-identical to the per-point ``eval`` or ``matrix_at``.
+    """
+    fields: list[ScalarField] = []
+    spans = []
+    for item in items:
+        start = len(fields)
+        if isinstance(item, ScalarField):
+            fields.append(item)
+        elif isinstance(item, OperatorField):
+            fields.extend(e for row in item.rows for e in row)
+        elif isinstance(item, SymmetricTensorField):
+            n = item.chart.dim
+            fields.extend(item.entries[i][j] for i in range(n) for j in range(i, n))
+        elif isinstance(item, DifferentialForm):
+            if item.degree != 2:
+                raise ValueError("matrix representation needs a 2-form")
+            fields.extend(item.terms.values())
+        else:
+            fields.extend(item)
+        spans.append((item, start, len(fields)))
+    values = eval_many(fields, points)
+    size = values.shape[1]
+    out = []
+    for item, start, stop in spans:
+        rows = values[start:stop]
+        if isinstance(item, ScalarField):
+            out.append(rows[0])
+        elif isinstance(item, OperatorField):
+            n = item.chart.dim
+            out.append(rows.T.reshape(size, n, n))
+        elif isinstance(item, SymmetricTensorField):
+            n = item.chart.dim
+            i, j = np.triu_indices(n)
+            m = np.empty((size, n, n))
+            m[:, i, j] = rows.T
+            m[:, j, i] = rows.T
+            out.append(m)
+        elif isinstance(item, DifferentialForm):
+            n = item.chart.dim
+            m = np.zeros((size, n, n))
+            for (i, j), row in zip(item.terms, rows):
+                m[:, i, j] = row
+                m[:, j, i] = -row
+            out.append(m)
+        else:
+            out.append(rows.T)
+    return out
+
+
 def sup_norm(form: DifferentialForm, points: Sequence[Sequence[float]]) -> float:
     """Largest absolute coefficient value over the sample points."""
-    return sampled_max(points, lambda p: [f.eval(p) for f in form.terms.values()]).value
+    return sampled_max(points, lambda sample: eval_many(list(form.terms.values()), sample).T).value
 
 
 def operator_sup_diff(
     a: OperatorField, b: OperatorField, points: Sequence[Sequence[float]]
 ) -> float:
-    return sampled_max(points, lambda p: a.eval(p) - b.eval(p)).value
+    def residual(sample):
+        a_values, b_values = stacked(sample, a, b)
+        return a_values - b_values
+
+    return sampled_max(points, residual).value

@@ -37,8 +37,13 @@ class DomainError(ExpressionError):
     """Evaluation hit a singularity.
 
     Raised for log or sqrt of values outside their differentiable domain and
-    for division by zero. The message names the offending subexpression.
+    for division by zero. The message names the offending subexpression;
+    ``point`` is the point where it failed, when known, and ``index`` that
+    point's position in the sample evaluated as a batch.
     """
+
+    point: tuple[float, ...] | None = None
+    index: int | None = None
 
 
 class OrderLimitError(ExpressionError):

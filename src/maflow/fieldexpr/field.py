@@ -5,8 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .chart import Chart, ChartError
-from .errors import OrderLimitError
+from .errors import DomainError, OrderLimitError
 from .jet import Jet, jet_from_series
 from .nodes import (
     Call,
@@ -51,18 +53,41 @@ class ScalarField:
         return is_zero(self.ast)
 
     def eval(self, point: Sequence[float]) -> float:
-        return evaluate(self.ast, self.chart.point(point), 0)
+        pt = self.chart.point(point)
+        try:
+            return evaluate(self.ast, pt, 0)
+        except DomainError as exc:
+            exc.point = pt
+            raise
 
-    def jet(self, point: Sequence[float], order: int) -> Jet:
+    def jet(self, point: Sequence[float] | np.ndarray, order: int) -> Jet:
+        """Value and partials up to the order at a point.
+
+        Given an (N, dim) array instead, the jet of the whole sample: every
+        partial is a column, bit-identical to the jets of the single points.
+        """
         if order > MAX_ORDER:
             raise OrderLimitError(
                 f"jet order {order} exceeds the supported maximum {MAX_ORDER}"
             )
-        pt = self.chart.point(point)
-        series = evaluate(self.ast, pt, order)
+        if isinstance(point, np.ndarray) and point.ndim == 2:
+            sample = _sample(point, self.chart)
+            (series,) = _evaluate_batch([self.ast], sample, order)
+        else:
+            sample = None
+            pt = self.chart.point(point)
+            try:
+                series = evaluate(self.ast, pt, order)
+            except DomainError as exc:
+                exc.point = pt
+                raise
         if not isinstance(series, Series):
-            series = Series.constant(len(pt), order, series)
-        return jet_from_series(series, order)
+            series = Series.constant(self.chart.dim, order, series)
+        jet = jet_from_series(series, order)
+        if sample is not None:
+            n = len(sample)
+            jet.partials = {k: np.broadcast_to(v, (n,)) for k, v in jet.partials.items()}
+        return jet
 
     def derivative(self, *axes: int | str) -> "ScalarField":
         idx = tuple(a if isinstance(a, int) else self.chart.index(a) for a in axes)
@@ -159,6 +184,90 @@ class ScalarField:
         if is_zero(self.ast) and power > 0:
             return ScalarField.constant(self.chart, 0.0)
         return ScalarField(self.chart, PowNode(self.ast, power))
+
+
+# points per walk over the expression trees: enough to amortize the walk,
+# few enough that the memory of an evaluation or a check stays flat in N
+BATCH = 128
+
+
+def eval_many(fields: Sequence[ScalarField], points) -> np.ndarray:
+    """Values of the fields over a sample: one row per field, one column per point.
+
+    ``points`` is an (N, dim) array or a sequence of points on the fields'
+    chart. Each tree is walked once per ``BATCH`` points, with one memo for
+    all the fields, so a node that several fields share runs once. Every
+    value is bit-identical to ``field.eval(point)``. A DomainError is the
+    one that evaluating the fields in order, point by point, raises first;
+    its ``point`` and ``index`` name that sample point.
+    """
+    out = np.empty((len(fields), len(points)))
+    if not len(fields) or not len(points):
+        return out
+    sample = _sample(points, fields[0].chart)
+    for field in fields:
+        if field.chart.dim != fields[0].chart.dim:
+            raise ChartError("fields evaluated together must share a chart dimension")
+    asts = [f.ast for f in fields]
+    for start in range(0, len(sample), BATCH):
+        try:
+            values = _evaluate_batch(asts, sample[start : start + BATCH], 0)
+        except DomainError as exc:
+            exc.index += start
+            raise
+        for row, value in zip(out[:, start : start + BATCH], values):
+            row[:] = value
+    return out
+
+
+def _sample(points, chart: Chart) -> np.ndarray:
+    sample = np.asarray(points, dtype=float)
+    if sample.ndim != 2 or sample.shape[1] != chart.dim:
+        raise ChartError(f"sample of shape {sample.shape} does not fit chart of dim {chart.dim}")
+    return sample
+
+
+def _walk(asts: list[Node], sample: np.ndarray, order: int) -> list:
+    point = tuple(np.ascontiguousarray(sample[:, i]) for i in range(sample.shape[1]))
+    memo: dict = {}
+    with np.errstate(all="ignore"):
+        return [evaluate(ast, point, order, memo) for ast in asts]
+
+
+def _evaluate_batch(asts: list[Node], sample: np.ndarray, order: int) -> list:
+    """evaluate() of each tree over the whole sample, with one memo."""
+    try:
+        return _walk(asts, sample, order)
+    except DomainError as exc:
+        raise _first_failure(asts, sample, order, exc) from None
+
+
+def _first_failure(
+    asts: list[Node], sample: np.ndarray, order: int, exc: DomainError
+) -> DomainError:
+    """The error the point-by-point loop meets first, with its point.
+
+    A failing guard reports the first point where it fails, but a guard
+    later in the walk may fail at an earlier point: shrink the sample to
+    the points before the failure until it evaluates, then evaluate the
+    trees in order at the next point alone.
+    """
+    stop = exc.index or 0
+    while stop > 0:
+        try:
+            _walk(asts, sample[:stop], order)
+            break
+        except DomainError as earlier:
+            stop = min(earlier.index or 0, stop - 1)
+    point = tuple(float(c) for c in sample[stop])
+    memo: dict = {}
+    try:
+        for ast in asts:
+            evaluate(ast, point, order, memo)
+    except DomainError as first:
+        exc = first
+    exc.point, exc.index = point, stop
+    return exc
 
 
 def _call(fn: str, f: ScalarField) -> ScalarField:

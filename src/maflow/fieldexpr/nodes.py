@@ -11,6 +11,7 @@ field on another chart. Both are produced by geometric operations.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .chart import Chart
@@ -230,39 +231,100 @@ def render(node: Node) -> str:
     involving ``abs`` are not re-parseable, since ``abs`` is not part of the
     input grammar.
     """
-    node = to_plain(node)
-    return _render_plain(node)
+    return _render_plain(to_plain(node))
 
 
-def _paren(node: Node, minimum: int) -> str:
-    s = _render_plain(node)
-    if _prec(node) < minimum:
-        return f"({s})"
-    return s
-
-
-def _render_plain(node: Node) -> str:
-    if isinstance(node, Lit):
-        return node.name or fmt_number(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Neg):
-        return "-" + _paren(node.arg, _PREC_UNARY)
-    if isinstance(node, Add):
-        return _paren(node.lhs, _PREC_ADD) + " + " + _paren(node.rhs, _PREC_ADD + 1)
-    if isinstance(node, Sub):
-        return _paren(node.lhs, _PREC_ADD) + " - " + _paren(node.rhs, _PREC_ADD + 1)
-    if isinstance(node, Mul):
-        return _paren(node.lhs, _PREC_MUL) + "*" + _paren(node.rhs, _PREC_MUL + 1)
-    if isinstance(node, Div):
-        return _paren(node.lhs, _PREC_MUL) + "/" + _paren(node.rhs, _PREC_MUL + 1)
+def _children(node: Node) -> tuple[Node, ...]:
+    """Operands of a plain node."""
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        return (node.lhs, node.rhs)
+    if isinstance(node, (Neg, Call)):
+        return (node.arg,)
     if isinstance(node, Pow):
-        base = _paren(node.base, _PREC_ATOM)
-        if node.power < 0:
-            return f"{base}^({node.power})"
-        return f"{base}^{node.power}"
+        return (node.base,)
+    return ()
+
+
+def _postorder(root: Node, step):
+    """step(node, results for its operands) for each distinct node of a plain
+    tree, operands first, in a loop rather than by recursion, so that the
+    height of the tree is no limit and a shared subtree is visited once.
+    Returns the result for the root."""
+    done: dict[int, object] = {}
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        operands = _children(node)
+        pending = [k for k in operands if id(k) not in done]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        done[id(node)] = step(node, [done[id(k)] for k in operands])
+    return done[id(root)]
+
+
+def _render_plain(root: Node) -> str:
+    """Source text of a plain AST, without recursion.
+
+    A subtree used more than once gets its text built once and copied where
+    it occurs; every other node is written straight into the text of its
+    nearest such ancestor. The work is linear in the distinct nodes plus
+    the text of the shared ones, however tall the tree.
+    """
+    order: list[Node] = []
+    _postorder(root, lambda node, _: order.append(node))
+    uses = Counter(id(k) for node in order for k in _children(node))
+    texts: dict[int, str] = {}
+    for node in order:
+        if uses[id(node)] > 1 or node is root:
+            texts[id(node)] = _text(node, texts)
+    return texts[id(root)]
+
+
+def _text(top: Node, texts: dict[int, str]) -> str:
+    out: list[str] = []
+    stack: list = [top]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item is not top and id(item) in texts:
+            out.append(texts[id(item)])
+        else:
+            stack.extend(reversed(_pieces(item)))
+    return "".join(out)
+
+
+_INFIX = {
+    Add: (" + ", _PREC_ADD), Sub: (" - ", _PREC_ADD), Mul: ("*", _PREC_MUL), Div: ("/", _PREC_MUL),
+}
+
+
+def _paren(node: Node, minimum: int) -> list:
+    return ["(", node, ")"] if _prec(node) < minimum else [node]
+
+
+def _pieces(node: Node) -> list:
+    """The text of a node as strings and operand nodes, in order."""
+    infix = _INFIX.get(type(node))
+    if infix is not None:
+        op, prec = infix
+        return [*_paren(node.lhs, prec), op, *_paren(node.rhs, prec + 1)]
+    if isinstance(node, Lit):
+        return [node.name or fmt_number(node.value)]
+    if isinstance(node, Var):
+        return [node.name]
+    if isinstance(node, Neg):
+        return ["-", *_paren(node.arg, _PREC_UNARY)]
+    if isinstance(node, Pow):
+        power = f"^({node.power})" if node.power < 0 else f"^{node.power}"
+        return [*_paren(node.base, _PREC_ATOM), power]
     if isinstance(node, Call):
-        return f"{node.fn}({_render_plain(node.arg)})"
+        return [f"{node.fn}(", node.arg, ")"]
     raise TypeError(f"cannot render {node!r}")
 
 
@@ -322,37 +384,47 @@ def _subst(node: Node, parts: tuple[Node, ...]) -> Node:
     raise TypeError(f"cannot substitute into {node!r}")
 
 
-def _diff_plain(node: Node, axis: int) -> Node:
-    """Symbolic derivative of a plain AST, for rendering only."""
-    if axis not in free_vars(node):
-        return Lit(0.0)
+def _diff_plain(root: Node, axis: int) -> Node:
+    """Symbolic derivative of a plain AST, for rendering only.
+
+    One pass over the distinct nodes, operands first, carries each node's
+    free variables along with its derivative; a node free of the axis has
+    derivative zero.
+    """
+
+    def step(node: Node, operands: list[tuple[frozenset, Node]]) -> tuple[frozenset, Node]:
+        if isinstance(node, Var):
+            free = frozenset((node.index,))
+        else:
+            free = frozenset().union(*(f for f, _ in operands))
+        if axis not in free:
+            return free, Lit(0.0)
+        return free, _diff_rule(node, axis, [d for _, d in operands])
+
+    return _postorder(root, step)[1]
+
+
+def _diff_rule(node: Node, axis: int, d: list[Node]) -> Node:
+    """Derivative of a node that depends on the axis, from its operands' derivatives."""
     if isinstance(node, Var):
-        return Lit(1.0) if node.index == axis else Lit(0.0)
+        return Lit(1.0)
     if isinstance(node, Neg):
-        return mk_neg(_diff_plain(node.arg, axis))
+        return mk_neg(d[0])
     if isinstance(node, Add):
-        return mk_add(_diff_plain(node.lhs, axis), _diff_plain(node.rhs, axis))
+        return mk_add(d[0], d[1])
     if isinstance(node, Sub):
-        return mk_sub(_diff_plain(node.lhs, axis), _diff_plain(node.rhs, axis))
+        return mk_sub(d[0], d[1])
     if isinstance(node, Mul):
-        return mk_add(
-            mk_mul(_diff_plain(node.lhs, axis), node.rhs),
-            mk_mul(node.lhs, _diff_plain(node.rhs, axis)),
-        )
+        return mk_add(mk_mul(d[0], node.rhs), mk_mul(node.lhs, d[1]))
     if isinstance(node, Div):
-        num = mk_sub(
-            mk_mul(_diff_plain(node.lhs, axis), node.rhs),
-            mk_mul(node.lhs, _diff_plain(node.rhs, axis)),
-        )
+        num = mk_sub(mk_mul(d[0], node.rhs), mk_mul(node.lhs, d[1]))
         return mk_div(num, Pow(node.rhs, 2))
     if isinstance(node, Pow):
         if node.power == 0:
             return Lit(0.0)
-        inner = _diff_plain(node.base, axis)
         lead = mk_mul(Lit(float(node.power)), Pow(node.base, node.power - 1))
-        return mk_mul(lead, inner)
+        return mk_mul(lead, d[0])
     if isinstance(node, Call):
-        inner = _diff_plain(node.arg, axis)
         a = node.arg
         if node.fn == "sin":
             outer: Node = Call("cos", a)
@@ -369,5 +441,5 @@ def _diff_plain(node: Node, axis: int) -> Node:
             outer = mk_div(a, Call("abs", a))
         else:
             raise TypeError(f"no derivative rule for {node.fn}")
-        return mk_mul(outer, inner)
+        return mk_mul(outer, d[0])
     raise TypeError(f"cannot differentiate {node!r}")

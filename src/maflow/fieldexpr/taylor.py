@@ -12,12 +12,25 @@ Constants stay plain floats at every order and become a series only when an
 operator meets one, and coordinates are plain floats at order 0, so an
 order-0 evaluation is float arithmetic by construction: a value does not
 depend on whether it was asked for alone or as part of a jet's evaluation.
+
+A point is a tuple of floats or a tuple of float64 columns of shape (N,),
+one column per coordinate; the same rules then carry values and series
+coefficients for the whole sample at once. Elementwise ``+ - * /`` and
+``sqrt`` are correctly rounded in numpy as in Python, and ``sin``, ``cos``,
+``exp`` and ``log`` go through ``math`` element by element, so every element
+of a batch is bit-identical to the evaluation at that point alone. Where the
+scalar path drops a coefficient that is exactly zero at the point, a batch
+keeps it; the two then differ at most in the sign of a zero, or in 0*inf.
+A guard that fails inside a batch raises a :class:`DomainError` whose
+``index`` is the first failing position in the sample.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations_with_replacement
+
+import numpy as np
 
 from .errors import DomainError, OrderLimitError
 from .nodes import (
@@ -68,12 +81,18 @@ def _ipow(x, n: int):
     return result
 
 
+def _kept(value) -> bool:
+    """Whether a coefficient is stored: a float when nonzero, a column always."""
+    return isinstance(value, np.ndarray) or value != 0.0
+
+
 class Series:
     """Truncated Taylor series: dict from exponent tuple to coefficient.
 
     Absent keys are zero. All coefficients with total degree <= order are
-    trustworthy; nothing of higher degree is stored. The operators ``+ - * /``
-    accept a float on either side and lift it through :meth:`constant`.
+    trustworthy; nothing of higher degree is stored. A coefficient is a
+    float or a column over the sample. The operators ``+ - * /`` accept a
+    float on either side and lift it through :meth:`constant`.
     """
 
     __slots__ = ("dim", "order", "c")
@@ -85,12 +104,12 @@ class Series:
 
     @classmethod
     def constant(cls, dim: int, order: int, value: float) -> "Series":
-        return cls(dim, order, {(0,) * dim: value} if value != 0.0 else {})
+        return cls(dim, order, {(0,) * dim: value} if _kept(value) else {})
 
     @classmethod
     def coordinate(cls, dim: int, order: int, index: int, value: float) -> "Series":
         c: dict[tuple[int, ...], float] = {}
-        if value != 0.0:
+        if _kept(value):
             c[(0,) * dim] = value
         if order >= 1:
             unit = tuple(1 if i == index else 0 for i in range(dim))
@@ -189,7 +208,7 @@ class Series:
                 if cv is not None:
                     s = s - vb * cv
             val = s / b0
-            if val != 0.0 or gamma == zero:
+            if gamma == zero or (_kept(s) and _kept(val)):
                 quot[gamma] = val
         return Series(self.dim, order, quot)
 
@@ -238,125 +257,148 @@ def compose_many(outer: Series, parts: list[Series], dim: int, order: int) -> Se
     return result
 
 
-def _domain_error(message: str, node: Node) -> DomainError:
+def _domain_error(message: str, node: Node, index: int | None = None) -> DomainError:
     """The error for a failed check, naming the offending subexpression."""
     try:
         text = render(node)
     except Exception:
-        return DomainError(message)
-    if len(text) > 48:
-        text = text[:45] + "..."
-    return DomainError(f"{message} in '{text}'")
+        error = DomainError(message)
+    else:
+        if len(text) > 48:
+            text = text[:45] + "..."
+        error = DomainError(f"{message} in '{text}'")
+    error.index = index
+    return error
 
 
-def _value(x: float | Series) -> float:
+def _guard(bad, message: str, node: Node) -> None:
+    """Raise the domain error where ``bad`` holds: a bool, or a mask over the sample."""
+    if isinstance(bad, np.ndarray):
+        if bad.any():
+            raise _domain_error(message, node, int(bad.argmax()))
+    elif bad:
+        raise _domain_error(message, node)
+
+
+def _math(fn, x, node: Call):
+    """``fn`` from ``math`` of a float, or of each element of a column."""
+    if not isinstance(x, np.ndarray):
+        try:
+            return fn(x)
+        except OverflowError:
+            raise _domain_error(f"overflow evaluating {node.fn}", node) from None
+    out: list[float] = []
+    try:
+        for v in x.tolist():
+            out.append(fn(v))
+    except OverflowError:
+        raise _domain_error(f"overflow evaluating {node.fn}", node, len(out)) from None
+    return np.array(out)
+
+
+def _value(x):
     return x.value if isinstance(x, Series) else x
 
 
-def _library_coefficients(node: Call, x0: float, order: int) -> list[float]:
+def _library_coefficients(node: Call, x0, order: int) -> list:
     """Taylor coefficients of the node's function around x0, up to the order only."""
     fn = node.fn
-    try:
-        if fn in ("sin", "cos"):
-            if math.isinf(x0):
-                raise _domain_error(f"{fn} of an infinite value", node)
-            if order == 0:
-                return [math.sin(x0) if fn == "sin" else math.cos(x0)]
-            s, c = math.sin(x0), math.cos(x0)
-            cycle = (s, c, -s, -c) if fn == "sin" else (c, -s, -c, s)
-            return [cycle[j % 4] / _FACTORIAL[j] for j in range(order + 1)]
-        if fn == "exp":
-            v = math.exp(x0)
-            return [v / _FACTORIAL[j] for j in range(order + 1)]
-        if fn == "log":
-            if x0 <= 0.0:
-                raise _domain_error("log of a non-positive value", node)
-            out = [math.log(x0)]
-            power = x0
-            for j in range(1, order + 1):
-                out.append(((-1.0) ** (j - 1)) / (j * power))
-                power *= x0
-            return out
-        if fn == "sqrt":
-            if x0 < 0.0:
-                raise _domain_error("sqrt of a negative value", node)
-            if x0 == 0.0 and order >= 1:
-                raise _domain_error("derivative of sqrt at zero", node)
-            out = [math.sqrt(x0)]
-            for j in range(1, order + 1):
-                out.append(out[j - 1] * (1.5 - j) / (j * x0))
-            return out
-        if fn == "abs":
-            if x0 == 0.0 and order >= 1:
-                raise _domain_error("derivative of abs at zero", node)
-            out = [abs(x0)] + [0.0] * order
-            if order >= 1:
-                out[1] = 1.0 if x0 > 0.0 else -1.0
-            return out
-    except OverflowError:
-        raise _domain_error(f"overflow evaluating {fn}", node) from None
+    batch = isinstance(x0, np.ndarray)
+    if fn in ("sin", "cos"):
+        _guard(np.isinf(x0) if batch else math.isinf(x0), f"{fn} of an infinite value", node)
+        if order == 0:
+            return [_math(math.sin if fn == "sin" else math.cos, x0, node)]
+        s, c = _math(math.sin, x0, node), _math(math.cos, x0, node)
+        cycle = (s, c, -s, -c) if fn == "sin" else (c, -s, -c, s)
+        return [cycle[j % 4] / _FACTORIAL[j] for j in range(order + 1)]
+    if fn == "exp":
+        v = _math(math.exp, x0, node)
+        return [v / _FACTORIAL[j] for j in range(order + 1)]
+    if fn == "log":
+        _guard(x0 <= 0.0, "log of a non-positive value", node)
+        out = [_math(math.log, x0, node)]
+        power = x0
+        for j in range(1, order + 1):
+            _guard(power == 0.0, "overflow evaluating log", node)
+            out.append(((-1.0) ** (j - 1)) / (j * power))
+            power = power * x0
+        return out
+    if fn == "sqrt":
+        _guard(x0 < 0.0, "sqrt of a negative value", node)
+        if order >= 1:
+            _guard(x0 == 0.0, "derivative of sqrt at zero", node)
+        out = [np.sqrt(x0) if batch else math.sqrt(x0)]
+        for j in range(1, order + 1):
+            out.append(out[j - 1] * (1.5 - j) / (j * x0))
+        return out
+    if fn == "abs":
+        if order >= 1:
+            _guard(x0 == 0.0, "derivative of abs at zero", node)
+        out = [abs(x0)] + [0.0] * order
+        if order >= 1:
+            out[1] = np.where(x0 > 0.0, 1.0, -1.0) if batch else (1.0 if x0 > 0.0 else -1.0)
+        return out
     raise DomainError(f"unknown function {fn}")
 
 
-def _var(node: Var, point, order):
+def _var(node: Var, point, order, memo):
     if order == 0:
         return point[node.index]
     return Series.coordinate(len(point), order, node.index, point[node.index])
 
 
-def _neg(node: Neg, point, order):
-    return -evaluate(node.arg, point, order)
+def _neg(node: Neg, point, order, memo):
+    return -evaluate(node.arg, point, order, memo)
 
 
-def _add(node: Add, point, order):
-    return evaluate(node.lhs, point, order) + evaluate(node.rhs, point, order)
+def _add(node: Add, point, order, memo):
+    return evaluate(node.lhs, point, order, memo) + evaluate(node.rhs, point, order, memo)
 
 
-def _sub(node: Sub, point, order):
-    return evaluate(node.lhs, point, order) - evaluate(node.rhs, point, order)
+def _sub(node: Sub, point, order, memo):
+    return evaluate(node.lhs, point, order, memo) - evaluate(node.rhs, point, order, memo)
 
 
-def _mul(node: Mul, point, order):
-    return evaluate(node.lhs, point, order) * evaluate(node.rhs, point, order)
+def _mul(node: Mul, point, order, memo):
+    return evaluate(node.lhs, point, order, memo) * evaluate(node.rhs, point, order, memo)
 
 
-def _div(node: Div, point, order):
-    num = evaluate(node.lhs, point, order)
-    den = evaluate(node.rhs, point, order)
-    if _value(den) == 0.0:
-        raise _domain_error("division by a coefficient that vanishes at the point", node)
+def _div(node: Div, point, order, memo):
+    num = evaluate(node.lhs, point, order, memo)
+    den = evaluate(node.rhs, point, order, memo)
+    _guard(_value(den) == 0.0, "division by a coefficient that vanishes at the point", node)
     return num / den
 
 
-def _pow(node: Pow, point, order):
-    base = evaluate(node.base, point, order)
+def _pow(node: Pow, point, order, memo):
+    base = evaluate(node.base, point, order, memo)
     if node.power == 0:
         return 1.0
     if node.power > 0:
         return _ipow(base, node.power)
     denom = _ipow(base, -node.power)
-    if _value(denom) == 0.0:
-        raise _domain_error("negative power of a vanishing or underflowing base", node)
+    _guard(_value(denom) == 0.0, "negative power of a vanishing or underflowing base", node)
     return 1.0 / denom
 
 
-def _call(node: Call, point, order):
-    inner = evaluate(node.arg, point, order)
+def _call(node: Call, point, order, memo):
+    inner = evaluate(node.arg, point, order, memo)
     if not isinstance(inner, Series):
         return _library_coefficients(node, inner, 0)[0]
     coeffs = _library_coefficients(node, inner.value, order)
-    outer = Series(1, order, {(j,): coeffs[j] for j in range(order + 1) if coeffs[j] != 0.0 or j == 0})
+    kept = {(j,): coeffs[j] for j in range(order + 1) if j == 0 or _kept(coeffs[j])}
+    outer = Series(1, order, kept)
     return compose_many(outer, [inner.drop_constant()], len(point), order)
 
 
-def _deriv(node: Deriv, point, order):
+def _deriv(node: Deriv, point, order, memo):
     need = order + len(node.axes)
     if need > MAX_ORDER:
         raise OrderLimitError(
             f"jet order {order} of a derivative of order {len(node.axes)} "
             f"needs operand order {need}, above the supported maximum {MAX_ORDER}"
         )
-    s = evaluate(node.operand, point, need)
+    s = evaluate(node.operand, point, need, memo)
     if not isinstance(s, Series):
         return 0.0
     if order == 0:
@@ -366,9 +408,10 @@ def _deriv(node: Deriv, point, order):
     return s
 
 
-def _compose(node: Compose, point, order):
-    parts = [evaluate(p, point, order) for p in node.parts]
-    outer = evaluate(node.outer, tuple(_value(p) for p in parts), order)
+def _compose(node: Compose, point, order, memo):
+    parts = [evaluate(p, point, order, memo) for p in node.parts]
+    # the outer tree lives on another chart and runs at another point
+    outer = evaluate(node.outer, tuple(_value(p) for p in parts), order, {})
     if not isinstance(outer, Series):
         return outer
     dim = len(point)
@@ -377,16 +420,26 @@ def _compose(node: Compose, point, order):
 
 
 _RULES = {
-    Lit: lambda node, point, order: node.value,
+    Lit: lambda node, point, order, memo: node.value,
     Var: _var, Neg: _neg, Add: _add, Sub: _sub, Mul: _mul, Div: _div,
     Pow: _pow, Call: _call, Deriv: _deriv, Compose: _compose,
 }
 
 
-def evaluate(node: Node, point: tuple[float, ...], order: int) -> float | Series:
+def evaluate(node: Node, point: tuple, order: int, memo: dict | None = None):
     """Value (order 0) or Taylor series (order >= 1) of the expression at the point.
 
+    The point is a tuple of floats, or of float64 columns for a whole sample.
     A subexpression that does not depend on the coordinates evaluates to a
-    float at every order. The caller checks ``order <= MAX_ORDER``.
+    float at every order. ``memo`` maps (id(node), order) to what this point
+    already computed, so a node shared within a tree, or by several trees
+    evaluated with one memo, runs once; it must not outlive the trees. The
+    caller checks ``order <= MAX_ORDER``.
     """
-    return _RULES[type(node)](node, point, order)
+    if memo is None:
+        memo = {}
+    key = (id(node), order)
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = _RULES[type(node)](node, point, order, memo)
+    return out

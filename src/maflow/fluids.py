@@ -21,7 +21,7 @@ import numpy as np
 # divergence and trace_m_squared live in exterior, below both ma6 and this
 # module; they stay importable from here with the rest of the flow layer.
 from .exterior import VectorField, divergence, sampled_max, trace_m_squared  # noqa: F401
-from .fieldexpr import Chart, ChartError, ScalarField
+from .fieldexpr import Chart, ChartError, ScalarField, eval_many
 from .ma4 import DEGENERATE, ELLIPTIC, HYPERBOLIC, hessian_det
 from .ma6 import coefficient_field, euler_pair, verify_bilagrangian
 
@@ -189,10 +189,10 @@ def stretched_solution_check(
     a_field = coefficient_field(a, plane)
     points2 = [(p[0], p[1]) for p in points]
     res_i = stretched_residual_field(psi, a_field, gamma)
-    r1 = sampled_max(points2, res_i.eval).value
+    r1 = sampled_max(points2, lambda sample: eval_many([res_i], sample)[0]).value
     flow = burgers_build(gamma, psi, c)
     res_ii = pressure_rhs_field(flow.velocity) - lift_plane_field(a_field) * 2.0
-    r2 = sampled_max(points, res_ii.eval).value
+    r2 = sampled_max(points, lambda sample: eval_many([res_ii], sample)[0]).value
     a6 = _lift_to_phase(a_field)
     pair = euler_pair(a6)
     graph_report = verify_bilagrangian(pair, flow.velocity, points, tol=tol)

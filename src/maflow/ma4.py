@@ -32,10 +32,12 @@ from .exterior import (
     pullback,
     pullback_symmetric,
     sampled_max,
+    signatures,
+    stacked,
     sup_norm,
     wedge,
 )
-from .fieldexpr import Chart, DomainError, ScalarField, absval, sqrt
+from .fieldexpr import Chart, DomainError, ScalarField, absval, eval_many, sqrt
 from .fieldexpr.parse import parse_field
 
 ELLIPTIC = "elliptic"
@@ -48,7 +50,9 @@ def classify_value(value: float, point: Sequence[float], tol: float | None = Non
     tolerance is 1e-10, relative above 1. A non-finite value has no type."""
     if not math.isfinite(value):
         where = tuple(float(c) for c in point)
-        raise DomainError(f"coefficient is {value} at {where}, which has no type")
+        error = DomainError(f"coefficient is {value} at {where}, which has no type")
+        error.point = where
+        raise error
     if tol is None:
         tol = 1e-10 * max(1.0, abs(value))
     if value > tol:
@@ -297,12 +301,10 @@ def build_triple(
     them; the first offending point is named in the error.
     """
     if points is not None:
-        pf = structure.pfaffian
-        for p in points:
-            if abs(pf.eval(p)) <= 1e-12:
-                raise NondegeneracyError(
-                    f"pfaffian vanishes at {tuple(float(c) for c in p)}"
-                )
+        vanishing = np.abs(eval_many([structure.pfaffian], points)[0]) <= 1e-12
+        if vanishing.any():
+            p = points[int(vanishing.argmax())]
+            raise NondegeneracyError(f"pfaffian vanishes at {tuple(float(c) for c in p)}")
     return structure.triple()
 
 
@@ -333,19 +335,16 @@ def triple_relations(
     }
     identity = np.eye(4)
 
-    def residual(p):
-        wedges = {name: field.eval(p) for name, field in wedge_fields.items()}
-        m_s = t.product.eval(p)
-        m_i = t.almost_complex.eval(p)
-        m_t = t.tangent.eval(p)
-        e = eps.eval(p)
-        w_m = t.omega.matrix_at(p)
-        h_m = t.omega_hat.matrix_at(p)
-        t_m = t.tilde.matrix_at(p)
-        return wedges | {
-            "defines_product": m_s.T @ w_m - h_m,
-            "defines_complex": m_i.T @ t_m - w_m,
-            "defines_tangent": m_t.T @ t_m - h_m,
+    def residual(sample):
+        wedges, m_s, m_i, m_t, e, w_m, h_m, t_m = stacked(
+            sample, list(wedge_fields.values()), t.product, t.almost_complex, t.tangent,
+            eps, t.omega, t.omega_hat, t.tilde,
+        )
+        e = e[:, np.newaxis, np.newaxis]
+        return dict(zip(wedge_fields, wedges.T)) | {
+            "defines_product": np.swapaxes(m_s, 1, 2) @ w_m - h_m,
+            "defines_complex": np.swapaxes(m_i, 1, 2) @ t_m - w_m,
+            "defines_tangent": np.swapaxes(m_t, 1, 2) @ t_m - h_m,
             "product_square": m_s @ m_s - identity,
             "complex_square": m_i @ m_i + e * identity,
             "tangent_square": m_t @ m_t - e * identity,
@@ -406,14 +405,16 @@ def verify_generalized_solution(
     det_h = h.entries[0][0] * h.entries[1][1] - h.entries[0][1] * h.entries[0][1]
     tr_h = h.entries[0][0] + h.entries[1][1]
     a_pull = fmap.pull_scalar(structure.pfaffian)
-    det_residual = sampled_max(points, (det_h - a_pull * 4.0).eval).value
-    trace_residual = sampled_max(points, (tr_h - laplacian2(psi) * 2.0).eval).value
-    signatures = []
+    det_field = det_h - a_pull * 4.0
+    trace_field = tr_h - laplacian2(psi) * 2.0
+    det_residual = sampled_max(points, lambda sample: eval_many([det_field], sample)[0]).value
+    trace_residual = sampled_max(points, lambda sample: eval_many([trace_field], sample)[0]).value
+    a_values, h_values = stacked(points, a_pull, h)
+    rows = []
     dichotomy = True
-    for p in points:
-        av = a_pull.eval(p)
-        sig = h.signature(p)
-        signatures.append({"point": tuple(float(c) for c in p), "a": av, "signature": sig})
+    for p, av, sig in zip(points, a_values.tolist(), signatures(h_values).tolist()):
+        sig = tuple(sig)
+        rows.append({"point": tuple(float(c) for c in p), "a": av, "signature": sig})
         if av > 1e-10 and sig not in ((2, 0, 0), (0, 2, 0)):
             dichotomy = False
         if av < -1e-10 and sig != (1, 1, 0):
@@ -426,6 +427,6 @@ def verify_generalized_solution(
         "induced_metric": h,
         "det_identity_residual": det_residual,
         "trace_identity_residual": trace_residual,
-        "signatures": signatures,
+        "signatures": rows,
         "signature_dichotomy": dichotomy,
     }

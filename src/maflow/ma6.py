@@ -45,12 +45,13 @@ from .exterior import (
     interior_product,
     pullback,
     sampled_max,
+    stacked,
     sup_norm,
     trace_m_squared,
     volume_form,
     wedge,
 )
-from .fieldexpr import Chart, ChartError, ScalarField, absval, sqrt
+from .fieldexpr import Chart, ChartError, ScalarField, absval, eval_many, sqrt
 from .fieldexpr.nodes import const_value
 from .fieldexpr.parse import parse_field
 
@@ -156,16 +157,17 @@ def _pfaffian_of(
 ) -> ScalarField:
     square = tensor @ tensor
     lam = square.trace() * (1.0 / 6.0)
-    if points is not None:
-        eye = np.eye(6)
-        for p in points:
-            sq = square.eval(p)
-            lv = lam.eval(p)
-            scale = max(1.0, float(np.max(np.abs(sq))))
-            if float(np.max(np.abs(sq - lv * eye))) > tol * scale:
-                raise NondegeneracyViolation(
-                    f"operator square is not proportional to the identity at {tuple(p)}"
-                )
+    if points is not None and len(points):
+        with np.errstate(all="ignore"):
+            sq, lv = stacked(points, square, lam)
+            scale = np.fmax(1.0, np.max(np.abs(sq), axis=(1, 2)))
+            defect = np.max(np.abs(sq - lv[:, np.newaxis, np.newaxis] * np.eye(6)), axis=(1, 2))
+        violated = defect > tol * scale
+        if violated.any():
+            p = points[int(violated.argmax())]
+            raise NondegeneracyViolation(
+                f"operator square is not proportional to the identity at {tuple(p)}"
+            )
     return lam
 
 
@@ -240,16 +242,16 @@ def lr_compatibility(
     metric = lr_metric6(omega, big_omega, vol)
     degenerate = []
 
-    def residual(p):
-        lv = lam.eval(p)
-        if abs(lv) < tol:
-            degenerate.append(tuple(float(c) for c in p))
-            return 0.0
-        kmat = tensor.eval(p)
-        gmat = metric.eval(p)
-        amat = -math.copysign(1.0, lv) * kmat / math.sqrt(abs(lv))
-        gnorm = gmat / math.sqrt(abs(lv))
-        return amat.T @ gnorm - big_omega.matrix_at(p)
+    def residual(sample):
+        lv, kmat, gmat, bmat = stacked(sample, lam, tensor, metric, big_omega)
+        skip = np.abs(lv) < tol
+        degenerate.extend(tuple(float(c) for c in p) for p in sample[skip])
+        root = np.sqrt(np.abs(lv))[:, np.newaxis, np.newaxis]
+        amat = -np.copysign(1.0, lv)[:, np.newaxis, np.newaxis] * kmat / root
+        gnorm = gmat / root
+        out = np.swapaxes(amat, 1, 2) @ gnorm - bmat
+        out[skip] = 0.0
+        return out
 
     worst = sampled_max(points, residual).value
     return {
@@ -498,21 +500,26 @@ def euler_pair_relations(
     anti_target = -4.0 * np.eye(6)
     product = pair.product_defect()
 
-    def residual(p):
-        av = pair.a.eval(p)
-        ko2_target = -4.0 * av * np.eye(6)
-        g_omega_target = np.block(
-            [[2.0 * av * eye3, zero3], [zero3, 2.0 * eye3]]
+    g_theta_target = np.block([[2.0 * eye3, zero3], [zero3, zero3]])
+
+    def residual(sample):
+        av, ko2_v, kt2_v, anti_v, comm_v, g_omega_v, g_theta_v, product_v = stacked(
+            sample, pair.a, ko2, kt2, anti, comm, g_omega, g_theta,
+            list(product.terms.values()),
         )
-        g_theta_target = np.block([[2.0 * eye3, zero3], [zero3, zero3]])
+        av = av[:, np.newaxis, np.newaxis]
+        ko2_target = -4.0 * av * np.eye(6)
+        g_omega_target = np.zeros((len(sample), 6, 6))
+        g_omega_target[:, :3, :3] = 2.0 * av * eye3
+        g_omega_target[:, 3:, 3:] = 2.0 * eye3
         return {
-            "k_omega_square": ko2.eval(p) - ko2_target,
-            "k_theta_square": kt2.eval(p),
-            "anticommutator": anti.eval(p) - anti_target,
-            "commutator": comm.eval(p) - comm_target,
-            "g_omega": g_omega.eval(p) - g_omega_target,
-            "g_theta": g_theta.eval(p) - g_theta_target,
-            "product": [f.eval(p) for f in product.terms.values()],
+            "k_omega_square": ko2_v - ko2_target,
+            "k_theta_square": kt2_v,
+            "anticommutator": anti_v - anti_target,
+            "commutator": comm_v - comm_target,
+            "g_omega": g_omega_v - g_omega_target,
+            "g_theta": g_theta_v - g_theta_target,
+            "product": product_v,
         }
 
     peak = sampled_max(points, residual)
@@ -549,8 +556,9 @@ def verify_bilagrangian(
     omega_residual = sup_norm(omega_pull, points)
     theta_residual = sup_norm(theta_pull, points)
     pressure = graph.pull_scalar(pair.a) * 2.0 + trace_m_squared(u)
-    div_residual = sampled_max(points, divergence(u).eval).value
-    pressure_residual = sampled_max(points, pressure.eval).value
+    div = divergence(u)
+    div_residual = sampled_max(points, lambda sample: eval_many([div], sample)[0]).value
+    pressure_residual = sampled_max(points, lambda sample: eval_many([pressure], sample)[0]).value
     passed = omega_residual < tol and theta_residual < tol
     return {
         "omega_residual": omega_residual,

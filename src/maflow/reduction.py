@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .exterior import (
     DifferentialForm,
     GraphMap,
@@ -28,7 +30,7 @@ from .exterior import (
     sup_norm,
     wedge,
 )
-from .fieldexpr import Chart, ChartError, ScalarField
+from .fieldexpr import Chart, ChartError, ScalarField, eval_many
 from .fieldexpr.nodes import const_value
 from .ma4 import MAStructure4, phase_chart
 from .ma6 import (
@@ -82,10 +84,9 @@ class TranslationAction:
             raise ValueError("generator must be nonzero")
         if self.slice_map.codomain != self.generator.chart:
             raise ChartError("slice must land in the chart of the generator")
-        pulled = self.slice_map.pull_scalar(self.moment)
-        for p in _PROBE_POINTS:
-            if abs(pulled.eval(p) - self.level) > 1e-12:
-                raise ValueError("slice does not sit inside the moment level set")
+        pulled = eval_many([self.slice_map.pull_scalar(self.moment)], _PROBE_POINTS)[0]
+        if np.any(np.abs(pulled - self.level) > 1e-12):
+            raise ValueError("slice does not sit inside the moment level set")
 
     @property
     def reduced_chart(self) -> Chart:
@@ -142,7 +143,7 @@ def reduce_form(
     if not lie.is_zero:
         if points is None:
             raise InvarianceError("form is not structurally invariant; supply sample points")
-        peak = sampled_max(points, lambda p: [f.eval(p) for f in lie.terms.values()])
+        peak = sampled_max(points, lambda sample: eval_many(list(lie.terms.values()), sample).T)
         if peak.value >= tol:
             raise InvarianceError(
                 f"form is not invariant: residual {peak.value:.3e} at {peak.witness}"
@@ -250,18 +251,21 @@ def burgers_decomposition(
     """
     chart = momentum_chart()
     a_field = coefficient_field(a, chart)
-    for p in points:
-        if abs(a_field.eval(p)) < 1e-12:
-            raise ValueError(f"coefficient vanishes at sample point {tuple(p)}")
+    vanishing = np.abs(eval_many([a_field], points)[0]) < 1e-12
+    if vanishing.any():
+        p = points[int(vanishing.argmax())]
+        raise ValueError(f"coefficient vanishes at sample point {tuple(p)}")
     pi_form = burgers_threeform(a_field, chart)
     big_omega = canonical_symplectic(chart)
     x = VectorField.basis(chart, 2)
     tensor = hitchin_tensor(pi_form)
     y = tensor.apply(x)
     pairing = interior_product(y, interior_product(x, big_omega)).coeff(())
-    pairing_residual = sampled_max(
-        points, lambda p: pairing.eval(p) - 2.0 * a_field.eval(p)
-    ).value
+    def pairing_defect(sample):
+        pairing_values, a_values = eval_many([pairing, a_field], sample)
+        return pairing_values - 2.0 * a_values
+
+    pairing_residual = sampled_max(points, pairing_defect).value
     i_x = interior_product(x, big_omega)
     i_y = interior_product(y, big_omega)
     half = ScalarField.constant(chart, 0.5)
@@ -297,9 +301,12 @@ def burgers_decomposition(
     )
     structure = MAStructure4(reduced_chart, omega_r, big_omega_r, metric=metric_r)
     points4 = [(p[0], p[1], p[3], p[4]) for p in points]
-    pf_residual = sampled_max(
-        points4, lambda q: structure.pfaffian.eval(q) - a4.eval(q)
-    ).value
+
+    def pfaffian_defect(sample):
+        pf_values, a_values = eval_many([structure.pfaffian, a4], sample)
+        return pf_values - a_values
+
+    pf_residual = sampled_max(points4, pfaffian_defect).value
     dual_residual = sup_norm(structure.dual_form() - omega_hat_r, points4)
     worst = max(
         pairing_residual,

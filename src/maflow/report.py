@@ -67,8 +67,15 @@ class Report:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def error_envelope(stage: str, message: str, offset: int | None = None) -> str:
+def error_envelope(
+    stage: str,
+    message: str,
+    offset: int | None = None,
+    point: tuple[float, ...] | None = None,
+) -> str:
     out: dict = {"error": {"stage": stage, "message": message}}
     if offset is not None:
         out["error"]["offset"] = offset
+    if point is not None:
+        out["error"]["point"] = [float(c) for c in point]
     return json.dumps(out, sort_keys=True, indent=2)

@@ -64,4 +64,4 @@ def sample_points(
 def run_points(dim: int, config: RunConfig, count: int | None = None) -> list[tuple[float, ...]]:
     """The run's seeded sample, at most count points, as tuples of floats."""
     n = config.samples if count is None else min(config.samples, count)
-    return [tuple(float(c) for c in p) for p in sample_points(dim, n, config.seed)]
+    return [tuple(p) for p in sample_points(dim, n, config.seed).tolist()]

@@ -1,0 +1,211 @@
+"""Batch evaluation: every value over a whole sample is bit-identical to the
+value at the point alone, and the array reduction ``sampled_max`` agrees
+with the point-by-point loop it replaced."""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from maflow import fluids, ma4
+from maflow.exterior import Peak, sampled_max
+from maflow.fieldexpr import Chart, DomainError, ScalarField, eval_many, parse_field
+from maflow.fieldexpr import field as field_module
+from maflow.fieldexpr.field import BATCH
+
+PLANE = Chart(("x1", "x2"))
+LINE = [(0.0,), (1.0,), (2.0,), (3.0,)]
+
+
+def same_bytes(batch, single):
+    batch = np.broadcast_to(np.asarray(batch, dtype=float), np.shape(single))
+    return np.asarray(single, dtype=float).tobytes() == np.ascontiguousarray(batch).tobytes()
+
+
+def test_batches_match_points_on_drawn_expressions():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    # the expression grammar of the derivative oracle: exp, log, sqrt, quotients, powers
+    grammar = pytest.importorskip("test_oracle")
+
+    @hypothesis.settings(derandomize=True, max_examples=25, deadline=None)
+    @hypothesis.given(
+        text=grammar.EXPRESSIONS, seed=st.integers(0, 2**32 - 1), order=st.integers(0, 4)
+    )
+    def check(text, seed, order):
+        field = parse_field(text, PLANE)
+        sample = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(12, 2))
+        values = eval_many([field], sample)[0]
+        assert same_bytes(values, [field.eval(p) for p in sample]), text
+        jets = field.jet(sample, order)
+        singles = [field.jet(p, order) for p in sample]
+        assert set(jets.partials) == set(singles[0].partials)
+        for axes, column in jets.partials.items():
+            assert same_bytes(column, [j.partials[axes] for j in singles]), (text, axes)
+
+    check()
+
+
+def test_the_error_is_the_one_the_point_by_point_loop_meets_first():
+    fields = [parse_field("log(x1)", PLANE), parse_field("sqrt(x2)", PLANE)]
+    sample = np.ones((10, 2))
+    sample[7, 0] = -1.0  # the first field fails at point 7
+    sample[3, 1] = -1.0  # the second fails earlier, at point 3
+    with pytest.raises(DomainError, match="sqrt") as info:
+        eval_many(fields, sample)
+    assert info.value.point == (1.0, -1.0) and info.value.index == 3
+
+
+def test_the_error_names_its_point_in_a_later_slice():
+    sample = np.ones((3 * BATCH, 2))
+    sample[BATCH + 5, 0] = -1.0
+    sample[2 * BATCH, 0] = 0.0
+    with pytest.raises(DomainError, match="log") as info:
+        eval_many([parse_field("x2 + log(x1)", PLANE)], sample)
+    assert info.value.point == (-1.0, 1.0) and info.value.index == BATCH + 5
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every (fields, sample) that maflow hands to eval_many while the test runs."""
+    calls = []
+    original = field_module.eval_many
+
+    def recording(fields, points):
+        calls.append((list(fields), np.array(points, dtype=float)))
+        return original(fields, points)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("maflow") and getattr(module, "eval_many", None) is original:
+            monkeypatch.setattr(module, "eval_many", recording)
+    return calls
+
+
+def assert_batches_match_points(calls):
+    assert calls
+    for fields, sample in calls:
+        batch = eval_many(fields, sample)
+        for field, row in zip(fields, batch):
+            assert same_bytes(row, [field.eval(p) for p in sample]), field.render()
+
+
+@pytest.mark.parametrize("coeff", ["1", "-2", "1 + x1^2", "sin(x1)*exp(x2) - u1*x2"])
+def test_triple_relations_fields_match_points(recorded, coeff):
+    points = [tuple(p) for p in np.random.default_rng(3).uniform(-1.0, 1.0, size=(20, 4))]
+    out = ma4.triple_relations(ma4.flow_structure(coeff), points)
+    assert out["passed"]
+    assert_batches_match_points(recorded)
+
+
+def test_generalized_solution_fields_match_points(recorded):
+    chart = ma4.base_chart()
+    x1, x2 = ScalarField.coordinate(chart, 0), ScalarField.coordinate(chart, 1)
+    psi = x1 * x1 * 0.75 + x1 * x2 * 0.5 + x2 * x2 * 0.5
+    points = np.random.default_rng(4).uniform(-1.0, 1.0, size=(20, 2))
+    out = ma4.verify_generalized_solution(ma4.flow_structure("1.25"), psi, points)
+    assert out["passed"] and out["signature_dichotomy"]
+    assert_batches_match_points(recorded)
+
+
+@pytest.mark.parametrize("psi, dp", [("x1^2 + x2^2", "2"), ("sin(x1)*cos(x2)", "x1^2")])
+def test_stretched_solution_fields_match_points(recorded, psi, dp):
+    plane = fluids.plane_chart()
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, size=(20, 3))
+    a = parse_field(dp, plane) * 0.5
+    fluids.stretched_solution_check(2.0, parse_field(psi, plane), 0.0, a, points)
+    assert_batches_match_points(recorded)
+
+
+# -- the array reduction against the per-point loop -------------------------
+
+
+def per_point_max(points, residual_at) -> Peak:
+    """The reduction as it ran before batches: one residual call per point."""
+    peaks: dict = {}
+    for p in points:
+        r = residual_at(p)
+        for name, part in r.items() if isinstance(r, dict) else ((None, r),):
+            v = float(np.max(np.abs(part), initial=0.0))
+            if not math.isfinite(v):
+                v = math.inf
+            if v > peaks.setdefault(name, (0.0, None))[0]:
+                peaks[name] = (v, tuple(float(c) for c in p))
+    value, witness = max(peaks.values(), key=lambda peak: peak[0], default=(0.0, None))
+    parts = {} if None in peaks else {k: Peak(v, w, {}) for k, (v, w) in peaks.items()}
+    return Peak(value, witness, parts)
+
+
+def batched(residual_at):
+    """The same residual over a whole sample, the point on axis 0."""
+
+    def residual(sample):
+        rows = [residual_at(tuple(p)) for p in sample]
+        if isinstance(rows[0], dict):
+            return {name: np.array([r[name] for r in rows], dtype=float) for name in rows[0]}
+        return np.array(rows, dtype=float)
+
+    return residual
+
+
+# a sample that sampled_max hands to the residual in several slices
+LONG = [(float(i),) for i in range(2 * BATCH + 5)]
+CRAFTED = {
+    "tied maximum": (LINE, lambda p: [3.0, -1.0] if p[0] in (1.0, 3.0) else [0.5, 0.0]),
+    "nan": (LINE, lambda p: math.nan if p[0] == 2.0 else 5.0),
+    "inf after a finite peak": (LINE, lambda p: [7.0, 0.0] if p[0] < 2.0 else [-math.inf, 1.0]),
+    "all zeros": (LINE, lambda p: np.zeros((2, 2))),
+    "dict parts": (LINE, lambda p: {
+        "a": np.array([[p[0], -2.0 * p[0]], [0.0, 1.0]]),
+        "b": [0.0] if p[0] < 3.0 else [math.nan],
+        "zero": [0.0],
+    }),
+    "dict parts tied": (LINE, lambda p: {"a": [2.0 - p[0]], "b": [-2.0 if p[0] == 0.0 else 0.0]}),
+    "tie across slices": (LONG, lambda p: 3.0 if p[0] in (BATCH + 2.0, 2 * BATCH + 1.0) else 1.0),
+    "nan in a later slice": (LONG, lambda p: math.nan if p[0] == BATCH + 7.0 else p[0] % 7.0),
+    "dict parts across slices": (LONG, lambda p: {
+        "a": [p[0] if p[0] < BATCH + 3.0 else 0.0],
+        "b": [-1e300 if p[0] == 2 * BATCH + 4.0 else 0.0],
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(CRAFTED))
+def test_sampled_max_matches_the_per_point_loop(name):
+    points, residual_at = CRAFTED[name]
+    expected = per_point_max(points, residual_at)
+    assert sampled_max(points, batched(residual_at)) == expected
+    assert sampled_max(np.array(points), batched(residual_at)) == expected
+
+
+def test_sampled_max_of_numbers_and_witness():
+    values = {0.0: -1.0, 1.0: 3.0, 2.0: -3.0, 3.0: 2.0}
+    peak = sampled_max(LINE, lambda s: np.array([values[x] for x in s[:, 0]]))
+    assert peak == Peak(3.0, (1.0,), {})
+
+
+def test_sampled_max_treats_nan_and_inf_as_failures():
+    nan_at_two = sampled_max(LINE, lambda s: np.where(s[:, 0] == 2.0, math.nan, 5.0))
+    assert nan_at_two.value == math.inf
+    assert nan_at_two.witness == (2.0,)
+    assert not nan_at_two.value < 1e300
+    first_nan = sampled_max(LINE, lambda s: np.where(s == 0.0, [math.nan, 1e300], [7.0, 7.0]))
+    assert first_nan.value == math.inf and first_nan.witness == (0.0,)
+    minus_inf = sampled_max(LINE, lambda s: np.tile([[1.0, -math.inf], [0.0, 0.0]], (len(s), 1, 1)))
+    assert minus_inf.value == math.inf and minus_inf.witness == (0.0,)
+
+
+def test_sampled_max_of_named_arrays():
+    def residual(s):
+        x = s[:, 0]
+        return {"a": np.stack([x, -2.0 * x], axis=1), "b": np.where(x < 3.0, 0.0, math.nan)}
+
+    peak = sampled_max(LINE, residual)
+    assert peak.parts == {"a": Peak(6.0, (3.0,), {}), "b": Peak(math.inf, (3.0,), {})}
+    assert peak.value == math.inf and peak.witness == (3.0,)
+
+
+def test_sampled_max_of_zero_residual_and_empty_sample():
+    assert sampled_max(LINE, lambda s: np.zeros(len(s))) == Peak(0.0, None, {})
+    assert sampled_max([], lambda s: np.ones(len(s))) == Peak(0.0, None, {})
+    assert sampled_max([], lambda s: {"a": np.ones(len(s))}) == Peak(0.0, None, {})

@@ -1,11 +1,14 @@
 """Expression depth limits: deep input is a parse error, never a crash."""
 
+import gc
 import json
+import math
+import time
 
 import pytest
 
 from maflow import cli
-from maflow.fieldexpr import Chart, ExprSyntaxError, parse_expression
+from maflow.fieldexpr import Chart, ExprSyntaxError, parse_expression, parse_field
 from maflow.fieldexpr.parse import MAX_DEPTH, MAX_NESTING
 
 PLANE = Chart(("x1", "x2"))
@@ -75,3 +78,25 @@ def test_limits_hold_in_the_parser():
         parse_expression("x1" + "^1" * (MAX_NESTING + 1), PLANE)
     with pytest.raises(ExprSyntaxError, match="nested deeper"):
         parse_expression("*".join(["x1"] * (MAX_DEPTH + 1)), PLANE)
+
+
+def test_rendering_the_derivative_of_a_deep_product():
+    def product(n):
+        return parse_field("*".join(["(1+x1)"] * n), PLANE).derivative(0)
+
+    # d(P*f) = dP*f + P for a product P of n - 1 factors and f = 1 + x1
+    assert product(300).render().endswith(")*(1 + x1) + " + "*".join(["(1 + x1)"] * 299))
+    # the work is linear in the distinct nodes, so doubling the factors
+    # about doubles the time; the best of several alternating runs
+    best = {100: math.inf, 200: math.inf}
+    fields = {n: product(n) for n in best}
+    gc.disable()
+    try:
+        for _ in range(9):
+            for n, field in fields.items():
+                start = time.perf_counter()
+                field.render()
+                best[n] = min(best[n], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    assert best[200] < 2.5 * best[100], best

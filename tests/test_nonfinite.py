@@ -2,55 +2,23 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from maflow import cli
-from maflow.exterior import Peak, sampled_max, sup_norm
+from maflow.exterior import sup_norm
 from maflow.fieldexpr import Chart, DomainError, ExprSyntaxError, parse_field
 from maflow.fieldexpr.nodes import fmt_number
 from maflow.ma4 import flow_structure
 from maflow.sampling import sample_points
 
-LINE = [(0.0,), (1.0,), (2.0,), (3.0,)]
-
 
 def run_cli(capsys, *args):
     code = cli.main(list(args))
     return code, capsys.readouterr().out
-
-
-def test_sampled_max_of_numbers_and_witness():
-    values = {0.0: -1.0, 1.0: 3.0, 2.0: -3.0, 3.0: 2.0}
-    peak = sampled_max(LINE, lambda p: values[p[0]])
-    assert peak == Peak(3.0, (1.0,), {})
-
-
-def test_sampled_max_treats_nan_and_inf_as_failures():
-    nan_at_two = sampled_max(LINE, lambda p: math.nan if p[0] == 2.0 else 5.0)
-    assert nan_at_two.value == math.inf
-    assert nan_at_two.witness == (2.0,)
-    assert not nan_at_two.value < 1e300
-    first_nan = sampled_max(LINE, lambda p: [math.nan, 1e300] if p[0] == 0.0 else [7.0])
-    assert first_nan.value == math.inf and first_nan.witness == (0.0,)
-    minus_inf = sampled_max(LINE, lambda p: np.array([[1.0, -math.inf], [0.0, 0.0]]))
-    assert minus_inf.value == math.inf and minus_inf.witness == (0.0,)
-
-
-def test_sampled_max_of_named_arrays():
-    def residual(p):
-        return {"a": np.array([p[0], -2.0 * p[0]]), "b": [] if p[0] < 3.0 else [math.nan]}
-
-    peak = sampled_max(LINE, residual)
-    assert peak.parts == {"a": Peak(6.0, (3.0,), {}), "b": Peak(math.inf, (3.0,), {})}
-    assert peak.value == math.inf and peak.witness == (3.0,)
-
-
-def test_sampled_max_of_zero_residual_and_empty_sample():
-    assert sampled_max(LINE, lambda p: 0.0) == Peak(0.0, None, {})
-    assert sampled_max([], lambda p: 1.0) == Peak(0.0, None, {})
-    assert sampled_max([], lambda p: {"a": 1.0}) == Peak(0.0, None, {})
 
 
 def test_sup_norm_does_not_drop_nan():
@@ -175,3 +143,38 @@ def test_infinite_metric_fails_instead_of_being_singular(capsys):
     check = json.loads(out)["checks"][0]
     assert not check["passed"]
     assert check["residual"] == math.inf
+
+
+def test_compute_error_names_the_first_offending_sample_point(capsys):
+    code, out = run_cli(capsys, "triple", "--a", "log(x1)", "--samples", "50")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["stage"] == "compute"
+    first = next(p for p in sample_points(4, 50, 42) if p[0] <= 0.0)
+    assert error["point"] == [float(c) for c in first]
+
+
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [
+        (["triple", "--a", "1e300*1e300"], 1),
+        (["hitchin", "--structure", "euler-pair", "--a", "1e300*1e300"], 1),
+    ],
+)
+def test_non_finite_repros_print_nothing_on_stderr(args, exit_code):
+    proc = subprocess.run(
+        [sys.executable, "-m", "maflow.cli", *args, "--samples", "10", "--json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == exit_code, proc.stdout
+    assert proc.stderr == ""
+
+
+def test_underflowing_log_derivative_is_a_domain_error_alone_and_in_a_batch():
+    field = parse_field("log(x1)", Chart(("x1", "x2")))
+    with pytest.raises(DomainError, match="overflow evaluating log"):
+        field.jet((1e-200, 0.5), 2)
+    with pytest.raises(DomainError, match="overflow evaluating log") as info:
+        field.jet(np.array([[0.5, 0.5], [1e-200, 0.5]]), 2)
+    assert info.value.point == (1e-200, 0.5)
