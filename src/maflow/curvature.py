@@ -1,8 +1,12 @@
 """Pseudo-Riemannian curvature of coordinate metrics.
 
-Christoffel symbols, Riemann and Ricci tensors are evaluated pointwise
-from one exact order-2 jet per metric entry, with the inverse-metric
-derivative folded in through d(g^-1) = -g^-1 (dg) g^-1.
+Christoffel symbols, Riemann and Ricci tensors come from one exact order-2
+jet per metric entry, with the inverse-metric derivative folded in through
+d(g^-1) = -g^-1 (dg) g^-1. The sampled checks work on the (N, dim) slices
+that ``sampled_max`` hands them: one batched jet walk per slice for all the
+non-constant entries, one stacked inverse and stacked matrix products per
+``CONTRACT`` points. The functions at a single point run the same code on a
+one-point sample.
 Flatness is sampled, not proven: a NonFlat verdict is exact because the
 derivatives are, while a Flat verdict holds on the sampled points only.
 """
@@ -15,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .exterior import Peak, SymmetricTensorField, sampled_max
-from .fieldexpr import Chart, ScalarField
+from .fieldexpr import Chart, ScalarField, jets
 from .fieldexpr.nodes import const_value
 from .ma6 import coefficient_field, momentum_chart
 
@@ -54,23 +58,41 @@ def _tensor_of(g: MetricField | SymmetricTensorField) -> SymmetricTensorField:
 
 
 def _inverse(values: np.ndarray, point: Sequence[float]) -> np.ndarray:
-    """Inverse metric; singular when inversion fails or leaves max|g g^-1 - I| > 1e-8.
-
-    The residual bounds the relative error of the inverse and does not change
-    when g is scaled, so a unimodular metric with large entries passes. A
-    non-finite metric is left to fail the checks.
-    """
-    if not np.isfinite(values).all():
-        return np.full_like(values, np.nan)
-    try:
-        inverse = np.linalg.inv(values)
-    except np.linalg.LinAlgError:
-        inverse = None
-    if inverse is None or np.max(np.abs(values @ inverse - np.eye(len(values)))) > 1e-8:
+    """Inverse metric at a point; raises SingularMetricError (see _inverses)."""
+    inverse, singular = _inverses(values[np.newaxis])
+    if singular[0]:
         raise SingularMetricError(
             f"metric is singular at {tuple(float(c) for c in point)}"
         )
-    return inverse
+    return inverse[0]
+
+
+def _inverses(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse metrics of an (N, n, n) stack, and which of them are singular.
+
+    A metric is singular when inversion fails or leaves max|g g^-1 - I| >
+    1e-8. The residual bounds the relative error of the inverse and does not
+    change when g is scaled, so a unimodular metric with large entries
+    passes. A non-finite metric gets a NaN inverse and is left to fail the
+    checks.
+    """
+    finite = np.isfinite(g).all(axis=(1, 2))
+    inverse = np.full_like(g, np.nan)
+    singular = np.zeros(len(g), dtype=bool)
+    rows = np.flatnonzero(finite)
+    try:
+        inverse[rows] = np.linalg.inv(g[rows])
+    except np.linalg.LinAlgError:
+        # one exactly singular matrix fails the whole stack: invert one at a time
+        for r in rows:
+            try:
+                inverse[r] = np.linalg.inv(g[r])
+            except np.linalg.LinAlgError:
+                singular[r] = True
+    eye = np.eye(g.shape[-1])
+    residual = np.max(np.abs(g[rows] @ inverse[rows] - eye), axis=(1, 2))
+    singular[rows] |= residual > 1e-8
+    return inverse, singular
 
 
 def burgers_metric(a: ScalarField | str | float) -> MetricField:
@@ -96,58 +118,86 @@ def burgers_metric(a: ScalarField | str | float) -> MetricField:
     return MetricField.from_rows(chart, rows)
 
 
-def _jets_at(tensor: SymmetricTensorField, point: Sequence[float]):
-    """Metric, its inverse, and its first and second partials at a point.
+def _metric_jets(tensor: SymmetricTensorField, sample: np.ndarray):
+    """The metric's constant part and the jets of its other entries over a sample.
 
-    One order-2 jet per non-constant entry on or above the diagonal carries
-    the value and every partial; d1[k] = d_k g and d2[k, m] = d_k d_m g.
+    Returns the (n, n) matrix of the constant entries and, for each
+    non-constant entry on or above the diagonal, (i, j, value, gradient,
+    Hessian) with the point on axis 0. The order-2 jets of those entries
+    come from one batched walk.
     """
     n = tensor.chart.dim
-    g = np.zeros((n, n))
-    d1 = np.zeros((n, n, n))
-    d2 = np.zeros((n, n, n, n))
+    base = np.zeros((n, n))
+    slots, fields = [], []
     for i in range(n):
         for j in range(i, n):
             entry = tensor.entries[i][j]
             value = const_value(entry.ast)
-            if value is not None:
-                g[i, j] = g[j, i] = value
-                continue
-            partials = entry.jet(point, 2).partials
-            g[i, j] = g[j, i] = partials[()]
-            for k in range(n):
-                d1[k, i, j] = d1[k, j, i] = partials[(k,)]
-                for m in range(k, n):
-                    v = partials[(k, m)]
-                    d2[k, m, i, j] = d2[k, m, j, i] = d2[m, k, i, j] = d2[m, k, j, i] = v
-    return g, _inverse(g, point), d1, d2
+            if value is None:
+                slots.append((i, j))
+                fields.append(entry)
+            else:
+                base[i, j] = base[j, i] = value
+    found = jets(fields, sample, 2)
+    varying = [(i, j, jet.value, jet.gradient(), jet.hessian()) for (i, j), jet in zip(slots, found)]
+    return base, varying
+
+
+def _stacks(base: np.ndarray, varying: list, rows: slice):
+    """g, d1 and d2 at the rows of the sample: d1[:, k] = d_k g, d2[:, k, m] = d_k d_m g."""
+    size, n = rows.stop - rows.start, len(base)
+    g = np.repeat(base[np.newaxis], size, axis=0)
+    d1 = np.zeros((size, n, n, n))
+    d2 = np.zeros((size, n, n, n, n))
+    for i, j, value, gradient, hessian in varying:
+        g[:, i, j] = g[:, j, i] = value[rows]
+        d1[:, :, i, j] = d1[:, :, j, i] = gradient[rows]
+        d2[:, :, :, i, j] = d2[:, :, :, j, i] = hessian[rows]
+    return g, d1, d2
+
+
+def _jets_at(tensor: SymmetricTensorField, point: Sequence[float]):
+    """Metric, its inverse, and its first and second partials at a point."""
+    g, d1, d2 = _stacks(*_metric_jets(tensor, np.array([point], dtype=float)), slice(0, 1))
+    return g[0], _inverse(g[0], point), d1[0], d2[0]
 
 
 def _lowered(d1: np.ndarray) -> np.ndarray:
-    # t[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    return (
-        np.einsum("ijl->lij", d1)
-        + np.einsum("jil->lij", d1)
-        - d1
-    )
+    # t[:, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
+    return d1.transpose(0, 3, 1, 2) + d1.transpose(0, 3, 2, 1) - d1
+
+
+def _christoffel(ginv: np.ndarray, t: np.ndarray) -> np.ndarray:
+    # gamma[:, k, i, j] = 1/2 g^kl t[:, l, i, j]
+    size, n = ginv.shape[:2]
+    return 0.5 * (ginv @ t.reshape(size, n, n * n)).reshape(t.shape)
 
 
 def _riemann(ginv: np.ndarray, d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """R[:, l, i, j, k] over a stack, contracted as stacked matrix products."""
+    size, n = ginv.shape[:2]
     t = _lowered(d1)
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, t)
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, d1, ginv)
-    # dt[m, l, i, j] = d_m t[l, i, j]
-    dt = np.einsum("mijl->mlij", d2) + np.einsum("mjil->mlij", d2) - d2
-    dgamma = 0.5 * (
-        np.einsum("mkl,lij->mkij", dginv, t)
-        + np.einsum("kl,mlij->mkij", ginv, dt)
-    )
-    return (
-        np.einsum("iljk->lijk", dgamma)
-        - np.einsum("jlik->lijk", dgamma)
-        + np.einsum("lim,mjk->lijk", gamma, gamma)
-        - np.einsum("ljm,mik->lijk", gamma, gamma)
-    )
+    gamma = _christoffel(ginv, t)
+    # dginv[:, m] = d_m g^-1 = -g^-1 (d_m g) g^-1
+    dginv = -(ginv[:, np.newaxis] @ d1 @ ginv[:, np.newaxis])
+    # dt[:, m, l, i, j] = d_m t[:, l, i, j]
+    dt = d2.transpose(0, 1, 4, 2, 3) + d2.transpose(0, 1, 4, 3, 2)
+    dt -= d2
+    # dgamma[:, m, k, i, j] = d_m gamma[:, k, i, j]
+    dgamma = dginv @ t.reshape(size, 1, n, n * n)
+    dgamma += ginv[:, np.newaxis] @ dt.reshape(size, n, n, n * n)
+    dgamma *= 0.5
+    dgamma = dgamma.reshape(dt.shape)
+    # gg[:, l, i, j, k] = gamma[:, l, i, m] gamma[:, m, j, k]
+    gg = (gamma.reshape(size, n * n, n) @ gamma.reshape(size, n, n * n)).reshape(dt.shape)
+    full = dgamma.transpose(0, 2, 1, 3, 4) - dgamma.transpose(0, 2, 3, 1, 4)
+    full += gg
+    full -= gg.transpose(0, 1, 3, 2, 4)
+    return full
+
+
+def _ricci(full: np.ndarray) -> np.ndarray:
+    return np.einsum("niijk->njk", full)
 
 
 def christoffel(
@@ -155,7 +205,7 @@ def christoffel(
 ) -> np.ndarray:
     """Levi-Civita symbols Gamma[k][i][j] at a point, symmetric in (i, j)."""
     _, ginv, d1, _ = _jets_at(_tensor_of(g), point)
-    return 0.5 * np.einsum("kl,lij->kij", ginv, _lowered(d1))
+    return _christoffel(ginv[np.newaxis], _lowered(d1[np.newaxis]))[0]
 
 
 def riemann(
@@ -163,14 +213,20 @@ def riemann(
 ) -> np.ndarray:
     """Curvature R[l][i][j][k], antisymmetric in (i, j), first-Bianchi clean."""
     _, ginv, d1, d2 = _jets_at(_tensor_of(g), point)
-    return _riemann(ginv, d1, d2)
+    return _riemann(ginv[np.newaxis], d1[np.newaxis], d2[np.newaxis])[0]
 
 
 def ricci(
     g: MetricField | SymmetricTensorField, point: Sequence[float]
 ) -> np.ndarray:
     """Contraction Ricci[j][k] = R[i][i][j][k]; symmetric."""
-    return np.einsum("iijk->jk", riemann(g, point))
+    return _ricci(riemann(g, point)[np.newaxis])[0]
+
+
+# points per stacked contraction. Each point carries a dozen n^4 temporaries;
+# over a 20 s curvature-6d benchmark run (2-vCPU x86 VM) 8, 16 and 32 points
+# ran at the same speed and raised the peak RSS by 0.2, 0.8 and 2.2 MB
+CONTRACT = 16
 
 
 def _curvature_pass(
@@ -186,16 +242,19 @@ def _curvature_pass(
 
     def residual(sample):
         # per point, the largest entry of each tensor; a singular point adds zeros
+        base, varying = _metric_jets(tensor, sample)
         peaks = np.zeros((len(sample), 3))
-        for row, p in zip(peaks, sample):
-            try:
-                values, ginv, d1, d2 = _jets_at(tensor, tuple(p.tolist()))
-            except SingularMetricError:
-                singular.append(tuple(p.tolist()))
+        for start in range(0, len(sample), CONTRACT):
+            rows = slice(start, min(start + CONTRACT, len(sample)))
+            g, d1, d2 = _stacks(base, varying, rows)
+            ginv, skip = _inverses(g)
+            singular.extend(tuple(p) for p in sample[rows][skip].tolist())
+            if skip.all():
                 continue
-            full = _riemann(ginv, d1, d2)
-            for k, part in enumerate((values, full, np.einsum("iijk->jk", full))):
-                row[k] = np.max(np.abs(part))
+            keep = ~skip
+            full = _riemann(ginv[keep], d1[keep], d2[keep])
+            for k, part in enumerate((g[keep], full, _ricci(full))):
+                peaks[rows, k][keep] = np.max(np.abs(part).reshape(len(part), -1), axis=1)
         return {"metric": peaks[:, 0], "riemann": peaks[:, 1], "ricci": peaks[:, 2]}
 
     peaks = sampled_max(points, residual).parts

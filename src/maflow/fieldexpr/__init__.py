@@ -10,7 +10,7 @@ from .errors import (
     OrderLimitError,
     UnknownIdentifierError,
 )
-from .field import ScalarField, absval, cos, coordinates, eval_many, exp, log, sin, sqrt
+from .field import ScalarField, absval, cos, coordinates, eval_many, exp, jets, log, sin, sqrt
 from .jet import Jet
 from .parse import parse_expression, parse_field
 from .taylor import MAX_ORDER
@@ -33,6 +33,7 @@ __all__ = [
     "cos",
     "eval_many",
     "exp",
+    "jets",
     "log",
     "parse_expression",
     "parse_field",

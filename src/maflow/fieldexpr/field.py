@@ -66,28 +66,16 @@ class ScalarField:
         Given an (N, dim) array instead, the jet of the whole sample: every
         partial is a column, bit-identical to the jets of the single points.
         """
-        if order > MAX_ORDER:
-            raise OrderLimitError(
-                f"jet order {order} exceeds the supported maximum {MAX_ORDER}"
-            )
         if isinstance(point, np.ndarray) and point.ndim == 2:
-            sample = _sample(point, self.chart)
-            (series,) = _evaluate_batch([self.ast], sample, order)
-        else:
-            sample = None
-            pt = self.chart.point(point)
-            try:
-                series = evaluate(self.ast, pt, order)
-            except DomainError as exc:
-                exc.point = pt
-                raise
-        if not isinstance(series, Series):
-            series = Series.constant(self.chart.dim, order, series)
-        jet = jet_from_series(series, order)
-        if sample is not None:
-            n = len(sample)
-            jet.partials = {k: np.broadcast_to(v, (n,)) for k, v in jet.partials.items()}
-        return jet
+            return jets([self], point, order)[0]
+        _check_order(order)
+        pt = self.chart.point(point)
+        try:
+            series = evaluate(self.ast, pt, order)
+        except DomainError as exc:
+            exc.point = pt
+            raise
+        return _jet_of(series, self.chart.dim, order)
 
     def derivative(self, *axes: int | str) -> "ScalarField":
         idx = tuple(a if isinstance(a, int) else self.chart.index(a) for a in axes)
@@ -204,10 +192,7 @@ def eval_many(fields: Sequence[ScalarField], points) -> np.ndarray:
     out = np.empty((len(fields), len(points)))
     if not len(fields) or not len(points):
         return out
-    sample = _sample(points, fields[0].chart)
-    for field in fields:
-        if field.chart.dim != fields[0].chart.dim:
-            raise ChartError("fields evaluated together must share a chart dimension")
+    sample = _shared_sample(fields, points)
     asts = [f.ast for f in fields]
     for start in range(0, len(sample), BATCH):
         try:
@@ -220,10 +205,48 @@ def eval_many(fields: Sequence[ScalarField], points) -> np.ndarray:
     return out
 
 
-def _sample(points, chart: Chart) -> np.ndarray:
+def jets(fields: Sequence[ScalarField], points, order: int) -> list[Jet]:
+    """Jets of the fields over a sample, in one walk with one memo.
+
+    ``points`` is an (N, dim) array or a sequence of points on the fields'
+    chart. Every partial is a column, bit-identical to the partial of
+    ``field.jet(point, order)``. A DomainError is the one that the jets of
+    the fields, in order, point by point, raise first; its ``point`` and
+    ``index`` name that sample point.
+    """
+    _check_order(order)
+    if not len(fields):
+        return []
+    sample = _shared_sample(fields, points)
+    n, dim = sample.shape
+    out = []
+    for series in _evaluate_batch([f.ast for f in fields], sample, order):
+        jet = _jet_of(series, dim, order)
+        jet.partials = {k: np.broadcast_to(v, (n,)) for k, v in jet.partials.items()}
+        out.append(jet)
+    return out
+
+
+def _check_order(order: int) -> None:
+    if order > MAX_ORDER:
+        raise OrderLimitError(f"jet order {order} exceeds the supported maximum {MAX_ORDER}")
+
+
+def _jet_of(series, dim: int, order: int) -> Jet:
+    if not isinstance(series, Series):
+        series = Series.constant(dim, order, series)
+    return jet_from_series(series, order)
+
+
+def _shared_sample(fields: Sequence[ScalarField], points) -> np.ndarray:
+    """The sample as an (N, dim) float array on the chart dimension the fields share."""
+    dim = fields[0].chart.dim
     sample = np.asarray(points, dtype=float)
-    if sample.ndim != 2 or sample.shape[1] != chart.dim:
-        raise ChartError(f"sample of shape {sample.shape} does not fit chart of dim {chart.dim}")
+    if sample.ndim != 2 or sample.shape[1] != dim:
+        raise ChartError(f"sample of shape {sample.shape} does not fit chart of dim {dim}")
+    for field in fields:
+        if field.chart.dim != dim:
+            raise ChartError("fields evaluated together must share a chart dimension")
     return sample
 
 

@@ -12,7 +12,8 @@ from .taylor import Series
 
 @dataclass(eq=False)
 class Jet:
-    """All mixed partials up to the given order at one point.
+    """All mixed partials up to the given order at one point, or as columns
+    over a sample of points.
 
     Keys of ``partials`` are sorted axis tuples: () is the value, (0,) is
     d/dx0, (0, 1) is the mixed second partial, (1, 1) the pure one. Every
@@ -34,14 +35,16 @@ class Jet:
         return self.partials[key]
 
     def gradient(self) -> np.ndarray:
-        return np.array([self.partials[(i,)] for i in range(self.dim)])
+        """Shape (dim,), or (N, dim) for a jet of N points."""
+        return np.stack([self.partials[(i,)] for i in range(self.dim)], axis=-1)
 
     def hessian(self) -> np.ndarray:
-        h = np.empty((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                h[i, j] = self.partials[tuple(sorted((i, j)))]
-        return h
+        """Shape (dim, dim), or (N, dim, dim) for a jet of N points."""
+        rows = [
+            np.stack([self.partials[tuple(sorted((i, j)))] for j in range(self.dim)], axis=-1)
+            for i in range(self.dim)
+        ]
+        return np.stack(rows, axis=-2)
 
 
 def jet_from_series(series: Series, order: int) -> Jet:

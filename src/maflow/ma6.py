@@ -238,8 +238,19 @@ def lr_compatibility(
     below the tolerance are flagged as degenerate and skipped.
     """
     tensor = hitchin_tensor(omega, vol)
-    lam = _pfaffian_of(tensor)
-    metric = lr_metric6(omega, big_omega, vol)
+    return _compatibility(
+        tensor, _pfaffian_of(tensor), lr_metric6(omega, big_omega, vol), big_omega, points, tol
+    )
+
+
+def _compatibility(
+    tensor: OperatorField,
+    lam: ScalarField,
+    metric: SymmetricTensorField,
+    big_omega: DifferentialForm,
+    points: Sequence[Sequence[float]],
+    tol: float,
+) -> dict:
     degenerate = []
 
     def residual(sample):
@@ -268,9 +279,12 @@ def hitchin_dual(omega: DifferentialForm, vol: DifferentialForm | None = None) -
     K acts on the first slot only. For the vortex family this splits the
     form into two decomposable pieces via sum and difference.
     """
-    chart = omega.chart
     tensor = hitchin_tensor(omega, vol)
-    lam = _pfaffian_of(tensor)
+    return _dual_of(omega, tensor, _pfaffian_of(tensor))
+
+
+def _dual_of(omega: DifferentialForm, tensor: OperatorField, lam: ScalarField) -> DifferentialForm:
+    chart = omega.chart
     if lam.is_zero:
         raise NondegeneracyViolation("invariant vanishes identically; no dual form")
     scale = _inv_sqrt_abs(lam)
@@ -360,14 +374,20 @@ class MAStructure6:
     def pfaffian(self) -> ScalarField:
         return _pfaffian_of(self.tensor)
 
+    @cached_property
+    def _metric(self) -> SymmetricTensorField:
+        return lr_metric6(self.omega, self.big_omega)
+
     def metric(self, normalized: bool = False) -> SymmetricTensorField:
-        return lr_metric6(self.omega, self.big_omega, normalized=normalized)
+        if normalized:
+            return lr_metric6(self.omega, self.big_omega, normalized=True)
+        return self._metric
 
     def dual(self) -> DifferentialForm:
-        return hitchin_dual(self.omega)
+        return _dual_of(self.omega, self.tensor, self.pfaffian)
 
     def compatibility(self, points: Sequence[Sequence[float]], tol: float = 1e-10) -> dict:
-        return lr_compatibility(self.omega, self.big_omega, points, tol=tol)
+        return _compatibility(self.tensor, self.pfaffian, self.metric(), self.big_omega, points, tol)
 
     def integrability(
         self,

@@ -151,16 +151,6 @@ def reduce_form(
     return pullback(interior_product(action.generator, form), action.slice_map)
 
 
-def reduce(
-    form: DifferentialForm,
-    action: TranslationAction,
-    points: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-10,
-) -> DifferentialForm:
-    """Alias for reduce_form, the quotient of an invariant form."""
-    return reduce_form(form, action, points, tol)
-
-
 def laplace_reduction(c: float = 0.0) -> dict:
     """Drop the harmonic 3-form to the plane; the result is elliptic."""
     action = laplace_action(c)

@@ -8,13 +8,16 @@ import sys
 import numpy as np
 import pytest
 
-from maflow import fluids, ma4
+from maflow import catalog, curvature, fluids, ma4
 from maflow.exterior import Peak, sampled_max
 from maflow.fieldexpr import Chart, DomainError, ScalarField, eval_many, parse_field
 from maflow.fieldexpr import field as field_module
 from maflow.fieldexpr.field import BATCH
+from maflow.fieldexpr.nodes import const_value
+from maflow.sampling import sample_points
 
 PLANE = Chart(("x1", "x2"))
+SPACE = Chart(("x1", "x2", "x3"))
 LINE = [(0.0,), (1.0,), (2.0,), (3.0,)]
 
 
@@ -209,3 +212,204 @@ def test_sampled_max_of_zero_residual_and_empty_sample():
     assert sampled_max(LINE, lambda s: np.zeros(len(s))) == Peak(0.0, None, {})
     assert sampled_max([], lambda s: np.ones(len(s))) == Peak(0.0, None, {})
     assert sampled_max([], lambda s: {"a": np.ones(len(s))}) == Peak(0.0, None, {})
+
+
+# -- the batched curvature pass against the per-point one ---------------------
+
+
+def reference_inverse(values, point):
+    """The per-point inverse with its singularity test."""
+    if not np.isfinite(values).all():
+        return np.full_like(values, np.nan)
+    try:
+        inverse = np.linalg.inv(values)
+    except np.linalg.LinAlgError:
+        inverse = None
+    if inverse is None or np.max(np.abs(values @ inverse - np.eye(len(values)))) > 1e-8:
+        raise curvature.SingularMetricError(
+            f"metric is singular at {tuple(float(c) for c in point)}"
+        )
+    return inverse
+
+
+def reference_jets_at(tensor, point):
+    """The per-point jets: one ScalarField.jet per non-constant entry."""
+    n = tensor.chart.dim
+    g = np.zeros((n, n))
+    d1 = np.zeros((n, n, n))
+    d2 = np.zeros((n, n, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            entry = tensor.entries[i][j]
+            value = const_value(entry.ast)
+            if value is not None:
+                g[i, j] = g[j, i] = value
+                continue
+            partials = entry.jet(point, 2).partials
+            g[i, j] = g[j, i] = partials[()]
+            for k in range(n):
+                d1[k, i, j] = d1[k, j, i] = partials[(k,)]
+                for m in range(k, n):
+                    v = partials[(k, m)]
+                    d2[k, m, i, j] = d2[k, m, j, i] = d2[m, k, i, j] = d2[m, k, j, i] = v
+    return g, reference_inverse(g, point), d1, d2
+
+
+def reference_riemann(ginv, d1, d2):
+    """The per-point Riemann tensor, one einsum per term."""
+    t = np.einsum("ijl->lij", d1) + np.einsum("jil->lij", d1) - d1
+    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, t)
+    dginv = -np.einsum("ka,mab,bl->mkl", ginv, d1, ginv)
+    dt = np.einsum("mijl->mlij", d2) + np.einsum("mjil->mlij", d2) - d2
+    dgamma = 0.5 * (
+        np.einsum("mkl,lij->mkij", dginv, t)
+        + np.einsum("kl,mlij->mkij", ginv, dt)
+    )
+    return (
+        np.einsum("iljk->lijk", dgamma)
+        - np.einsum("jlik->lijk", dgamma)
+        + np.einsum("lim,mjk->lijk", gamma, gamma)
+        - np.einsum("ljm,mik->lijk", gamma, gamma)
+    )
+
+
+def reference_pass(g, points):
+    """The curvature pass as it ran before batches: one jet and one Riemann per point."""
+    tensor = g.g if isinstance(g, curvature.MetricField) else g
+    singular = []
+
+    def residual(sample):
+        peaks = np.zeros((len(sample), 3))
+        for row, p in zip(peaks, sample):
+            try:
+                values, ginv, d1, d2 = reference_jets_at(tensor, tuple(p.tolist()))
+            except curvature.SingularMetricError:
+                singular.append(tuple(p.tolist()))
+                continue
+            full = reference_riemann(ginv, d1, d2)
+            for k, part in enumerate((values, full, np.einsum("iijk->jk", full))):
+                row[k] = np.max(np.abs(part))
+        return {"metric": peaks[:, 0], "riemann": peaks[:, 1], "ricci": peaks[:, 2]}
+
+    peaks = sampled_max(points, residual).parts
+    if len(singular) == len(points):
+        raise curvature.SingularMetricError("metric is singular at every sample point")
+    common = {
+        "threshold": 1e-9 * max(1.0, peaks["metric"].value),
+        "mode": "sampled flatness",
+        "points_checked": len(points) - len(singular),
+        "singular_points": singular,
+    }
+    return peaks["riemann"], peaks["ricci"], common
+
+
+def reference_report(monkeypatch, g, points):
+    with monkeypatch.context() as patch:
+        patch.setattr(curvature, "_curvature_pass", reference_pass)
+        return curvature.curvature_report(g, points)
+
+
+# a 6-d sample that sampled_max hands to the pass in three slices
+SLICES6 = [tuple(p) for p in sample_points(6, 2 * BATCH + 37, 8)]
+SINGULAR_AT = (0, 5, BATCH - 1, BATCH + 17, 2 * BATCH + 36)
+
+
+def plane_sample(size, seed):
+    return [tuple(p) for p in np.random.default_rng(seed).uniform(-1.0, 1.0, size=(size, 2))]
+
+
+@pytest.mark.parametrize("metric", [
+    pytest.param(lambda: curvature.burgers_metric("sin(x1)*x2 + x1^2*exp(x2)"), id="generic"),
+    pytest.param(lambda: curvature.burgers_metric("1 + 2*x1 - x2"), id="affine"),
+    pytest.param(lambda: curvature.burgers_metric("x1^2 - 3*x2^2 + x1*x2"), id="quadratic"),
+    pytest.param(lambda: catalog.metric6("hess1"), id="hess1"),
+])
+def test_curvature_report_matches_the_per_point_pass(monkeypatch, metric):
+    g = metric()
+    out = curvature.curvature_report(g, SLICES6)
+    assert out == reference_report(monkeypatch, g, SLICES6)
+    assert out["points_checked"] == len(SLICES6)
+
+
+def test_stacked_riemann_and_ricci_match_the_per_point_contractions():
+    # the dense metric of test_curvature's jet test: every entry of d1 and d2 is used
+    g = curvature.MetricField.from_rows(
+        SPACE,
+        [
+            [parse_field("exp(2*x1)", SPACE), parse_field("x1*x3", SPACE), 0.0],
+            [parse_field("x1*x3", SPACE), parse_field("1 + x2^2", SPACE), 0.0],
+            [0.0, 0.0, parse_field("cos(x1) + 3", SPACE)],
+        ],
+    )
+    sample = sample_points(3, 40, 11)
+    stacked = []
+    for p in sample:
+        values, ginv, d1, d2 = reference_jets_at(g.g, p)
+        expected = reference_riemann(ginv, d1, d2)
+        full = curvature.riemann(g, p)
+        ricci = curvature.ricci(g, p)
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(full - expected)) <= 1e-14 * scale
+        assert np.max(np.abs(ricci - np.einsum("iijk->jk", expected))) <= 1e-14 * scale
+        stacked.append(expected)
+    base, varying = curvature._metric_jets(g.g, np.asarray(sample))
+    metric, d1, d2 = curvature._stacks(base, varying, slice(0, len(sample)))
+    ginv, singular = curvature._inverses(metric)
+    assert not singular.any()
+    full = curvature._riemann(ginv, d1, d2)
+    assert np.max(np.abs(full - np.array(stacked))) <= 1e-14 * np.max(np.abs(stacked))
+
+
+def singular_plane_metric():
+    return curvature.MetricField.from_rows(
+        PLANE, [[parse_field("x1", PLANE), 0.0], [0.0, parse_field("1 + x2^2", PLANE)]]
+    )
+
+
+def test_singular_points_are_skipped_and_reported_in_order(monkeypatch):
+    points = plane_sample(2 * BATCH + 37, 12)
+    for i in SINGULAR_AT:
+        points[i] = (0.0, points[i][1])
+    g = singular_plane_metric()
+    out = curvature.curvature_report(g, points)
+    assert out == reference_report(monkeypatch, g, points)
+    assert out["singular_points"] == [points[i] for i in SINGULAR_AT]
+    assert out["points_checked"] == len(points) - len(SINGULAR_AT)
+
+
+def test_an_all_singular_sample_raises():
+    points = [(0.0, y) for y in np.linspace(-1.0, 1.0, BATCH + 3)]
+    with pytest.raises(curvature.SingularMetricError, match="every sample point"):
+        curvature.curvature_report(singular_plane_metric(), points)
+
+
+def test_a_non_finite_metric_fails_with_residual_inf(monkeypatch):
+    g = curvature.burgers_metric("1e300*1e300")
+    points = SLICES6[: BATCH + 3]
+    out = curvature.curvature_report(g, points)
+    assert out == reference_report(monkeypatch, g, points)
+    assert out["riemann_max"] == math.inf and out["ricci_max"] == math.inf
+    assert out["verdicts"] == {"flat": "NonFlat", "ricci_flat": "NonRicciFlat"}
+    assert out["witnesses"]["riemann"] == points[0]
+
+
+@pytest.mark.parametrize("fail_a, fail_b, expected", [
+    (BATCH + 7, BATCH + 3, "sqrt"),  # entry B fails first in sample order
+    (BATCH + 3, BATCH + 3, "log"),  # both at one point: the first entry
+    (4, 2 * BATCH + 1, "log"),
+])
+def test_the_curvature_error_names_the_first_failing_point(monkeypatch, fail_a, fail_b, expected):
+    # entry A = g[0][0] comes before entry B = g[1][1] in entry order
+    g = curvature.MetricField.from_rows(
+        PLANE,
+        [[parse_field("2 + log(x1)", PLANE), 0.0], [0.0, parse_field("2 + sqrt(x2)", PLANE)]],
+    )
+    points = [(1.0, 1.0)] * (2 * BATCH + 5)
+    points[fail_a] = (-1.0, points[fail_a][1])
+    points[fail_b] = (points[fail_b][0], -1.0)
+    with pytest.raises(DomainError, match=expected) as info:
+        curvature.curvature_report(g, points)
+    with pytest.raises(DomainError) as reference:
+        reference_report(monkeypatch, g, points)
+    assert info.value.point == reference.value.point == points[min(fail_a, fail_b)]
+    assert str(info.value) == str(reference.value)

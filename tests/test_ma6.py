@@ -193,3 +193,32 @@ def test_verify_bilagrangian_rotation():
     bad = ma6.verify_bilagrangian(ma6.euler_pair("3", VEL), u, PTS3)
     assert not bad["passed"]
     assert bad["omega_residual"] == pytest.approx(2.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("structure", [
+    ["--structure", "burgers-cy", "--a", "sin(x1)*x2 + 2"], ["--structure", "hess1"],
+    ["--structure", "speciallag"],
+])
+def test_hitchin_builds_the_tensor_and_the_metric_once(monkeypatch, capsys, structure):
+    from maflow import cli
+
+    argv = ["hitchin", *structure, "--samples", "40", "--json"]
+    calls = {"hitchin_tensor": 0, "lr_metric6": 0}
+    for name in calls:
+        def counting(*args, _original=getattr(ma6, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ma6, name, counting)
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert calls == {"hitchin_tensor": 1, "lr_metric6": 1}
+    # the same report as when every step builds its own tensor and metric
+    monkeypatch.setattr(ma6.MAStructure6, "compatibility", lambda self, points, tol=1e-10:
+                        ma6.lr_compatibility(self.omega, self.big_omega, points, tol=tol))
+    monkeypatch.setattr(ma6.MAStructure6, "dual", lambda self: ma6.hitchin_dual(self.omega))
+    monkeypatch.setattr(ma6.MAStructure6, "metric", lambda self, normalized=False:
+                        ma6.lr_metric6(self.omega, self.big_omega, normalized=normalized))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == out
+    assert calls == {"hitchin_tensor": 4, "lr_metric6": 3}
