@@ -10,184 +10,7 @@ metric. Scalar inputs are exact jets, so derivatives carry no truncation
 error; randomized checks are seeded and reproducible.
 """
 
-from .exterior import (
-    DifferentialForm,
-    GraphMap,
-    NondegeneracyError,
-    OperatorField,
-    SymmetricTensorField,
-    VectorField,
-    differential,
-    interior_product,
-    lie_derivative,
-    operator_from_pair,
-    pullback,
-    pullback_symmetric,
-    sup_norm,
-    volume_form,
-    wedge,
-)
-from .fieldexpr import (
-    Chart,
-    ChartError,
-    ExpressionError,
-    ScalarField,
-    parse_field,
-)
-from .ma4 import (
-    DEGENERATE,
-    ELLIPTIC,
-    HYPERBOLIC,
-    MAStructure4,
-    Triple,
-    build_triple,
-    flow_structure,
-    hessian_det,
-    laplacian2,
-    lr_metric,
-    stream_graph_map,
-    structure_tensor,
-    triple_relations,
-    verify_generalized_solution,
-)
-from .ma6 import (
-    EulerPair6,
-    MAStructure6,
-    NondegeneracyViolation,
-    burgers_structure,
-    euler_pair,
-    euler_pair_relations,
-    hessian_one_structure,
-    hitchin_dual,
-    hitchin_pfaffian,
-    hitchin_tensor,
-    laplace_threeform,
-    lr_metric6,
-    special_lagrangian_structure,
-    verify_bilagrangian,
-)
-from .reduction import (
-    InvarianceError,
-    TranslationAction,
-    burgers_decomposition,
-    change_variables_64,
-    laplace_action,
-    laplace_reduction,
-    moment_map,
-    reduce_form,
-    shear_action,
-    shear_pair_reduction,
-)
-from .fluids import (
-    BurgersFlow,
-    Flow2D,
-    GridError,
-    GridField,
-    burgers_build,
-    grid_analyze,
-    grid_load,
-    pressure_rhs,
-    stretched_solution_check,
-    stream_velocity,
-    weiss_split,
-)
-from .curvature import (
-    MetricField,
-    SingularMetricError,
-    burgers_metric,
-    christoffel,
-    curvature_report,
-    flatness_verdict,
-    ricci,
-    ricci_flat_verdict,
-    riemann,
-)
-from .report import CheckResult, Report
-from .sampling import RunConfig, sample_points
+from .ma4 import flow_structure, triple_relations
+from .sampling import sample_points
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BurgersFlow",
-    "Chart",
-    "ChartError",
-    "CheckResult",
-    "DEGENERATE",
-    "DifferentialForm",
-    "ELLIPTIC",
-    "EulerPair6",
-    "ExpressionError",
-    "Flow2D",
-    "GraphMap",
-    "GridError",
-    "GridField",
-    "HYPERBOLIC",
-    "InvarianceError",
-    "MAStructure4",
-    "MAStructure6",
-    "MetricField",
-    "NondegeneracyError",
-    "NondegeneracyViolation",
-    "OperatorField",
-    "Report",
-    "RunConfig",
-    "ScalarField",
-    "SingularMetricError",
-    "SymmetricTensorField",
-    "TranslationAction",
-    "Triple",
-    "VectorField",
-    "build_triple",
-    "burgers_build",
-    "burgers_decomposition",
-    "burgers_metric",
-    "burgers_structure",
-    "change_variables_64",
-    "christoffel",
-    "curvature_report",
-    "differential",
-    "euler_pair",
-    "euler_pair_relations",
-    "flatness_verdict",
-    "flow_structure",
-    "grid_analyze",
-    "grid_load",
-    "hessian_det",
-    "hessian_one_structure",
-    "hitchin_dual",
-    "hitchin_pfaffian",
-    "hitchin_tensor",
-    "interior_product",
-    "laplace_action",
-    "laplace_reduction",
-    "laplace_threeform",
-    "laplacian2",
-    "lie_derivative",
-    "lr_metric",
-    "lr_metric6",
-    "moment_map",
-    "operator_from_pair",
-    "parse_field",
-    "pressure_rhs",
-    "stretched_solution_check",
-    "pullback",
-    "pullback_symmetric",
-    "reduce_form",
-    "ricci",
-    "ricci_flat_verdict",
-    "riemann",
-    "sample_points",
-    "shear_action",
-    "shear_pair_reduction",
-    "special_lagrangian_structure",
-    "stream_graph_map",
-    "stream_velocity",
-    "structure_tensor",
-    "sup_norm",
-    "triple_relations",
-    "verify_bilagrangian",
-    "verify_generalized_solution",
-    "volume_form",
-    "wedge",
-    "weiss_split",
-]

@@ -9,9 +9,6 @@ wrong sign so the harness's failure path can be exercised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from . import curvature, fluids, ma4, ma6, reduction
@@ -50,16 +47,6 @@ def metric6(name: str, a: ScalarField | str | float | None = None) -> curvature.
     if name in ("hess1", "speciallag"):
         return curvature.MetricField.from_tensor(structure6(name).metric())
     raise ValueError(f"unknown metric {name!r}")
-
-
-@dataclass(frozen=True)
-class SelfTestVector:
-    """One frozen verification: slug, one-line summary, tolerance, runner."""
-
-    slug: str
-    summary: str
-    tolerance: float | None
-    run: Callable[[RunConfig, bool], CheckResult]
 
 
 def _vec_flow_pfaffians(config: RunConfig, inject: bool) -> CheckResult:
@@ -244,108 +231,33 @@ def _vec_curved_witness(config: RunConfig, inject: bool) -> CheckResult:
     return CheckResult("vortex-metric-curved-witness", passed, None, None, detail)
 
 
-def selftest_vectors() -> list[SelfTestVector]:
-    return [
-        SelfTestVector(
-            "flow-pfaffians",
-            "effective form squares to a times the symplectic square; dual to minus",
-            1e-12,
-            _vec_flow_pfaffians,
-        ),
-        SelfTestVector(
-            "triple-algebra",
-            "wedge identities, defining relations and operator products of the triple",
-            1e-10,
-            _vec_triple_algebra,
-        ),
-        SelfTestVector(
-            "stream-graph-invariants",
-            "stream graphs annihilate both forms; induced metric det and trace",
-            1e-10,
-            _vec_stream_graph,
-        ),
-        SelfTestVector(
-            "vortex-invariant",
-            "cubic invariant of the stretched-vortex 3-form equals one",
-            1e-12,
-            _vec_vortex_invariant,
-        ),
-        SelfTestVector(
-            "vortex-tensor-matrix",
-            "structure tensor of the vortex form, entrywise",
-            1e-12,
-            _vec_vortex_tensor,
-        ),
-        SelfTestVector(
-            "vortex-metric",
-            "metric of the vortex form, entrywise, signature (3,3)",
-            1e-12,
-            _vec_vortex_metric,
-        ),
-        SelfTestVector(
-            "vortex-dual-split",
-            "sum and difference with the dual form decompose into products",
-            1e-12,
-            _vec_vortex_dual,
-        ),
-        SelfTestVector(
-            "pair-relations",
-            "block algebra and metrics of the divergence-form pair",
-            1e-12,
-            _vec_pair_relations,
-        ),
-        SelfTestVector(
-            "laplace-reduction",
-            "harmonic 3-form reduces to the planar harmonic form, elliptic",
-            1e-12,
-            _vec_laplace_reduction,
-        ),
-        SelfTestVector(
-            "shear-reduction",
-            "sheared translation reduces the pair to the displayed planar forms",
-            1e-12,
-            _vec_shear_reduction,
-        ),
-        SelfTestVector(
-            "vortex-split",
-            "transverse decomposition of the vortex form and symplectic form",
-            1e-12,
-            _vec_vortex_split,
-        ),
-        SelfTestVector(
-            "stretched-vortex-solution",
-            "planar stream with axial stretching solves the full system",
-            1e-10,
-            _vec_stretched_vortex,
-        ),
-        SelfTestVector(
-            "vortex-metric-ricci-flat",
-            "vortex metric is Ricci-flat for a curved coefficient",
-            1e-9,
-            _vec_ricci_flat,
-        ),
-        SelfTestVector(
-            "vortex-metric-flat-affine",
-            "vortex metric is flat for an affine coefficient",
-            1e-9,
-            _vec_flat_affine,
-        ),
-        SelfTestVector(
-            "vortex-metric-curved-witness",
-            "nonzero curvature witness for a strictly convex coefficient",
-            None,
-            _vec_curved_witness,
-        ),
-    ]
+# The self-check vectors in report order: one-line summary, runner.
+SELFTEST = (
+    ("effective form squares to a times the symplectic square; dual to minus", _vec_flow_pfaffians),
+    ("wedge identities, defining relations and operator products of the triple", _vec_triple_algebra),
+    ("stream graphs annihilate both forms; induced metric det and trace", _vec_stream_graph),
+    ("cubic invariant of the stretched-vortex 3-form equals one", _vec_vortex_invariant),
+    ("structure tensor of the vortex form, entrywise", _vec_vortex_tensor),
+    ("metric of the vortex form, entrywise, signature (3,3)", _vec_vortex_metric),
+    ("sum and difference with the dual form decompose into products", _vec_vortex_dual),
+    ("block algebra and metrics of the divergence-form pair", _vec_pair_relations),
+    ("harmonic 3-form reduces to the planar harmonic form, elliptic", _vec_laplace_reduction),
+    ("sheared translation reduces the pair to the displayed planar forms", _vec_shear_reduction),
+    ("transverse decomposition of the vortex form and symplectic form", _vec_vortex_split),
+    ("planar stream with axial stretching solves the full system", _vec_stretched_vortex),
+    ("vortex metric is Ricci-flat for a curved coefficient", _vec_ricci_flat),
+    ("vortex metric is flat for an affine coefficient", _vec_flat_affine),
+    ("nonzero curvature witness for a strictly convex coefficient", _vec_curved_witness),
+)
 
 
 def run_selftest(config: RunConfig, inject_failure: bool = False) -> Report:
     """Run every self-check vector; the report carries one check per vector."""
     report = Report("selftest", seed=config.seed, samples=config.samples)
     report.inputs = {"inject_failure": bool(inject_failure)}
-    for i, vector in enumerate(selftest_vectors()):
-        result = vector.run(config, inject_failure and i == 0)
+    for i, (summary, run) in enumerate(SELFTEST):
+        result = run(config, inject_failure and i == 0)
         result.detail = dict(result.detail)
-        result.detail["summary"] = vector.summary
+        result.detail["summary"] = summary
         report.add(result)
     return report

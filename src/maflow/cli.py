@@ -12,6 +12,7 @@ envelope {stage, message, offset?, point?}.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Sequence
 
@@ -24,7 +25,7 @@ from .fieldexpr.nodes import const_value, fmt_number, to_plain
 from .ma6 import NondegeneracyViolation
 from .reduction import InvarianceError
 from .report import CheckResult, Report, error_envelope
-from .sampling import RunConfig, run_points
+from .sampling import DEFAULT_SAMPLES, DEFAULT_SEED, SEED_ENV, RunConfig, run_points
 
 
 class InputSpecError(ValueError):
@@ -89,13 +90,13 @@ def render_form(form: DifferentialForm) -> str:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig.from_env(
-        seed=args.seed,
-        samples=args.samples,
-        tol=args.tol,
-        output=args.output,
-        json_output=args.json,
-    )
+    """The run's settings; without --seed, the MAS_SEED environment variable."""
+    seed = args.seed
+    if seed is None:
+        raw = os.environ.get(SEED_ENV)
+        seed = int(raw) if raw is not None else DEFAULT_SEED
+    samples = args.samples if args.samples is not None else DEFAULT_SAMPLES
+    return RunConfig(seed, samples, tol=args.tol, output=args.output, json_output=args.json)
 
 
 def cmd_selftest(args: argparse.Namespace, config: RunConfig) -> Report:
@@ -149,7 +150,8 @@ def cmd_classify(args: argparse.Namespace, config: RunConfig) -> Report:
 def cmd_triple(args: argparse.Namespace, config: RunConfig) -> Report:
     structure = ma4.flow_structure(parse_field(args.a, ma4.phase_chart()))
     points = run_points(4, config)
-    nonzero = np.abs(eval_many([structure.pfaffian], points)[0]) > 1e-6
+    # a NaN coefficient does not vanish: it is kept, and fails the checks
+    nonzero = ~(np.abs(eval_many([structure.pfaffian], points)[0]) <= 1e-6)
     kept = [p for p, keep in zip(points, nonzero) if keep]
     if not kept:
         raise InputSpecError("coefficient vanishes on the whole sample; nothing to check")

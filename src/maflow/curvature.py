@@ -70,11 +70,11 @@ def _inverse(values: np.ndarray, point: Sequence[float]) -> np.ndarray:
 def _inverses(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Inverse metrics of an (N, n, n) stack, and which of them are singular.
 
-    A metric is singular when inversion fails or leaves max|g g^-1 - I| >
-    1e-8. The residual bounds the relative error of the inverse and does not
-    change when g is scaled, so a unimodular metric with large entries
-    passes. A non-finite metric gets a NaN inverse and is left to fail the
-    checks.
+    A metric is singular when inversion fails or leaves max|g g^-1 - I|
+    above 1e-8 or NaN (an inverse that overflows). The residual bounds the
+    relative error of the inverse and does not change when g is scaled, so
+    a unimodular metric with large entries passes. A non-finite metric gets
+    a NaN inverse and is left to fail the checks.
     """
     finite = np.isfinite(g).all(axis=(1, 2))
     inverse = np.full_like(g, np.nan)
@@ -90,8 +90,9 @@ def _inverses(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             except np.linalg.LinAlgError:
                 singular[r] = True
     eye = np.eye(g.shape[-1])
-    residual = np.max(np.abs(g[rows] @ inverse[rows] - eye), axis=(1, 2))
-    singular[rows] |= residual > 1e-8
+    with np.errstate(all="ignore"):
+        residual = np.max(np.abs(g[rows] @ inverse[rows] - eye), axis=(1, 2))
+    singular[rows] |= ~(residual <= 1e-8)
     return inverse, singular
 
 

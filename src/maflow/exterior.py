@@ -99,10 +99,6 @@ class DifferentialForm:
     def coeffs_at(self, point: Sequence[float]) -> dict[tuple[int, ...], float]:
         return {k: f.eval(point) for k, f in self.terms.items()}
 
-    def matrix_at(self, point: Sequence[float]) -> np.ndarray:
-        """Numeric form_to_matrix: entry (i, j) is the value on e_i, e_j."""
-        return stacked([point], self)[0][0]
-
     def apply(self, point: Sequence[float], *vectors: Sequence[float]) -> float:
         """Evaluate on concrete vectors at a point."""
         if len(vectors) != self.degree:
@@ -701,7 +697,7 @@ def stacked(points: Sequence[Sequence[float]] | np.ndarray, *items) -> list[np.n
     order, so subexpressions the items share run once. A ScalarField gives
     shape (N,), a list of fields (N, k), an OperatorField or a
     SymmetricTensorField (N, n, n) and a 2-form its matrix (N, n, n), each
-    bit-identical to the per-point ``eval`` or ``matrix_at``.
+    bit-identical to its per-point values.
     """
     fields: list[ScalarField] = []
     spans = []
@@ -750,9 +746,12 @@ def stacked(points: Sequence[Sequence[float]] | np.ndarray, *items) -> list[np.n
     return out
 
 
-def sup_norm(form: DifferentialForm, points: Sequence[Sequence[float]]) -> float:
-    """Largest absolute coefficient value over the sample points."""
-    return sampled_max(points, lambda sample: eval_many(list(form.terms.values()), sample).T).value
+def sup_norm(
+    item: DifferentialForm | ScalarField, points: Sequence[Sequence[float]]
+) -> float:
+    """Largest absolute value of a field, or of a form's coefficients, over the sample points."""
+    fields = [item] if isinstance(item, ScalarField) else list(item.terms.values())
+    return sampled_max(points, lambda sample: eval_many(fields, sample).T).value
 
 
 def operator_sup_diff(

@@ -328,60 +328,41 @@ def _pieces(node: Node) -> list:
     raise TypeError(f"cannot render {node!r}")
 
 
-def to_plain(node: Node) -> Node:
+def to_plain(node: Node, parts: tuple[Node, ...] | None = None) -> Node:
     """Expand Deriv and Compose markers into the plain grammar.
 
-    Used only for rendering and serialization; evaluation goes through the
-    Taylor machinery and never rewrites operands.
+    With ``parts``, the plain result has ``parts[i]`` substituted for each
+    coordinate ``Var`` of index i. Used only for rendering and
+    serialization; evaluation goes through the Taylor machinery and never
+    rewrites operands.
     """
+    if isinstance(node, Var) and parts is not None:
+        return parts[node.index]
     if isinstance(node, (Lit, Var)):
         return node
     if isinstance(node, Neg):
-        return mk_neg(to_plain(node.arg))
+        return mk_neg(to_plain(node.arg, parts))
     if isinstance(node, Add):
-        return mk_add(to_plain(node.lhs), to_plain(node.rhs))
+        return mk_add(to_plain(node.lhs, parts), to_plain(node.rhs, parts))
     if isinstance(node, Sub):
-        return mk_sub(to_plain(node.lhs), to_plain(node.rhs))
+        return mk_sub(to_plain(node.lhs, parts), to_plain(node.rhs, parts))
     if isinstance(node, Mul):
-        return mk_mul(to_plain(node.lhs), to_plain(node.rhs))
+        return mk_mul(to_plain(node.lhs, parts), to_plain(node.rhs, parts))
     if isinstance(node, Div):
-        return mk_div(to_plain(node.lhs), to_plain(node.rhs))
+        return mk_div(to_plain(node.lhs, parts), to_plain(node.rhs, parts))
     if isinstance(node, Pow):
-        return Pow(to_plain(node.base), node.power)
+        return Pow(to_plain(node.base, parts), node.power)
     if isinstance(node, Call):
-        return Call(node.fn, to_plain(node.arg))
+        return Call(node.fn, to_plain(node.arg, parts))
     if isinstance(node, Deriv):
         out = to_plain(node.operand)
         for axis in node.axes:
             out = _diff_plain(out, axis)
-        return out
-    if isinstance(node, Compose):
-        outer = to_plain(node.outer)
-        parts = tuple(to_plain(p) for p in node.parts)
-        return _subst(outer, parts)
-    raise TypeError(f"unhandled node {node!r}")
-
-
-def _subst(node: Node, parts: tuple[Node, ...]) -> Node:
-    if isinstance(node, Var):
-        return parts[node.index]
-    if isinstance(node, Lit):
-        return node
-    if isinstance(node, Neg):
-        return mk_neg(_subst(node.arg, parts))
-    if isinstance(node, Add):
-        return mk_add(_subst(node.lhs, parts), _subst(node.rhs, parts))
-    if isinstance(node, Sub):
-        return mk_sub(_subst(node.lhs, parts), _subst(node.rhs, parts))
-    if isinstance(node, Mul):
-        return mk_mul(_subst(node.lhs, parts), _subst(node.rhs, parts))
-    if isinstance(node, Div):
-        return mk_div(_subst(node.lhs, parts), _subst(node.rhs, parts))
-    if isinstance(node, Pow):
-        return Pow(_subst(node.base, parts), node.power)
-    if isinstance(node, Call):
-        return Call(node.fn, _subst(node.arg, parts))
-    raise TypeError(f"cannot substitute into {node!r}")
+    elif isinstance(node, Compose):
+        out = to_plain(to_plain(node.outer), tuple(to_plain(p) for p in node.parts))
+    else:
+        raise TypeError(f"unhandled node {node!r}")
+    return out if parts is None else to_plain(out, parts)
 
 
 def _diff_plain(root: Node, axis: int) -> Node:

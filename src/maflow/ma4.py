@@ -38,6 +38,7 @@ from .exterior import (
     wedge,
 )
 from .fieldexpr import Chart, DomainError, ScalarField, absval, eval_many, sqrt
+from .fieldexpr.nodes import const_value
 from .fieldexpr.parse import parse_field
 
 ELLIPTIC = "elliptic"
@@ -133,10 +134,9 @@ class MAStructure4:
         den = top_coefficient(wedge(self.big_omega, self.big_omega))
         if den.is_zero:
             raise NondegeneracyError("symplectic form has vanishing square")
-        from .fieldexpr.nodes import Lit
-
-        if isinstance(den.ast, Lit):
-            return num * (1.0 / den.ast.value)
+        value = const_value(den.ast)
+        if value is not None:
+            return num * (1.0 / value)
         return num / den
 
     def effectivity(self) -> DifferentialForm:
@@ -273,11 +273,10 @@ def lr_metric(structure: MAStructure4) -> SymmetricTensorField:
     """
     chart = structure.chart
     den = top_coefficient(wedge(structure.big_omega, structure.big_omega))
-    from .fieldexpr.nodes import Lit
-
-    if not isinstance(den.ast, Lit) or den.ast.value == 0.0:
+    value = const_value(den.ast)
+    if value is None or value == 0.0:
         raise NondegeneracyError("symplectic square must be a nonzero constant")
-    scale = 2.0 / den.ast.value
+    scale = 2.0 / value
     base = wedge(dcoord(chart, 0), dcoord(chart, 1))
     basis = [VectorField.basis(chart, i) for i in range(4)]
     i_omega = [interior_product(x, structure.omega) for x in basis]
@@ -407,8 +406,8 @@ def verify_generalized_solution(
     a_pull = fmap.pull_scalar(structure.pfaffian)
     det_field = det_h - a_pull * 4.0
     trace_field = tr_h - laplacian2(psi) * 2.0
-    det_residual = sampled_max(points, lambda sample: eval_many([det_field], sample)[0]).value
-    trace_residual = sampled_max(points, lambda sample: eval_many([trace_field], sample)[0]).value
+    det_residual = sup_norm(det_field, points)
+    trace_residual = sup_norm(trace_field, points)
     a_values, h_values = stacked(points, a_pull, h)
     rows = []
     dichotomy = True

@@ -93,17 +93,19 @@ class TranslationAction:
         return self.slice_map.domain
 
 
+def _level_slice(reduced: Chart, chart: Chart, fiber: float) -> GraphMap:
+    """Embed the 4-d quotient chart in the 6-d chart at x3 = 0, last coordinate = fiber."""
+    coords = [ScalarField.coordinate(reduced, i) for i in range(4)]
+    zero = ScalarField.constant(reduced, 0.0)
+    last = ScalarField.constant(reduced, fiber)
+    return GraphMap(reduced, chart, (coords[0], coords[1], zero, coords[2], coords[3], last))
+
+
 def laplace_action(c: float = 0.0) -> TranslationAction:
     """Translation along x3 on the momentum chart; slice xi3 = -c at x3 = 0."""
     chart = momentum_chart()
     x = VectorField.basis(chart, 2)
-    reduced = Chart(("x1", "x2", "xi1", "xi2"))
-    coords = [ScalarField.coordinate(reduced, i) for i in range(4)]
-    zero = ScalarField.constant(reduced, 0.0)
-    fiber = ScalarField.constant(reduced, -c)
-    slice_map = GraphMap(
-        reduced, chart, (coords[0], coords[1], zero, coords[2], coords[3], fiber)
-    )
+    slice_map = _level_slice(Chart(("x1", "x2", "xi1", "xi2")), chart, -c)
     return TranslationAction(x, moment_map(canonical_symplectic(chart), x), c, slice_map)
 
 
@@ -112,13 +114,7 @@ def shear_action(gamma: float, c: float = 0.0) -> TranslationAction:
     chart = velocity_chart()
     comps = [0.0, 0.0, 1.0, 0.0, 0.0, float(gamma)]
     x = VectorField.from_constants(chart, comps)
-    reduced = phase_chart()
-    coords = [ScalarField.coordinate(reduced, i) for i in range(4)]
-    zero = ScalarField.constant(reduced, 0.0)
-    fiber = ScalarField.constant(reduced, -c)
-    slice_map = GraphMap(
-        reduced, chart, (coords[0], coords[1], zero, coords[2], coords[3], fiber)
-    )
+    slice_map = _level_slice(phase_chart(), chart, -c)
     return TranslationAction(x, moment_map(canonical_symplectic(chart), x), c, slice_map)
 
 
@@ -269,11 +265,7 @@ def burgers_decomposition(
     pi_split_residual = sup_norm(pi_split, points)
 
     reduced_chart = Chart(("x1", "x2", "xi1", "xi2"))
-    coords = [ScalarField.coordinate(reduced_chart, i) for i in range(4)]
-    zero = ScalarField.constant(reduced_chart, 0.0)
-    slice_map = GraphMap(
-        reduced_chart, chart, (coords[0], coords[1], zero, coords[2], coords[3], zero)
-    )
+    slice_map = _level_slice(reduced_chart, chart, 0.0)
     a4 = slice_map.pull_scalar(a_field)
     omega_r = DifferentialForm.build(reduced_chart, 2, [((2, 3), 1.0), ((0, 1), -a4)])
     omega_hat_r = DifferentialForm.build(

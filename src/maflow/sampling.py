@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,28 +24,6 @@ class RunConfig:
             raise ValueError("samples must be at least 1")
         if self.tol is not None and not self.tol > 0:
             raise ValueError("tolerance must be positive")
-
-    @classmethod
-    def from_env(
-        cls,
-        seed: int | None = None,
-        samples: int | None = None,
-        tol: float | None = None,
-        output: str | None = None,
-        json_output: bool = False,
-    ) -> "RunConfig":
-        if seed is None:
-            raw = os.environ.get(SEED_ENV)
-            seed = int(raw) if raw is not None else DEFAULT_SEED
-        if samples is None:
-            samples = DEFAULT_SAMPLES
-        return cls(
-            seed=seed,
-            samples=samples,
-            tol=tol,
-            output=output,
-            json_output=json_output,
-        )
 
 
 def sample_points(

@@ -198,3 +198,30 @@ def test_unimodular_metric_with_large_entries_is_not_singular(capsys):
         out = curvature.curvature_report(curvature.burgers_metric(a), PTS6)
         assert out["singular_points"] == []
         assert out["points_checked"] == len(PTS6)
+
+
+def test_metric_whose_inverse_overflows_is_singular():
+    # At x1 = 1e-3 the entry is ~1e-311, so g^-1 overflows and max|g g^-1 - I|
+    # is NaN: that point is skipped as singular, the other two are flat.
+    g = curvature.MetricField.from_rows(
+        PLANE, [[parse_field("1e-305*x1^2 + 1e-320", PLANE), 0.0], [0.0, 1.0]]
+    )
+    points = [(1e-3, 0.2), (1.0, 0.2), (0.5, -0.3)]
+    out = curvature.curvature_report(g, points)
+    assert out["singular_points"] == [(1e-3, 0.2)]
+    assert out["points_checked"] == 2
+    assert out["verdicts"] == {"flat": "Flat", "ricci_flat": "RicciFlat"}
+    assert np.isfinite(out["riemann_max"])
+    with pytest.raises(curvature.SingularMetricError):
+        g.eval(points[0])
+    for one_point in (curvature.christoffel, curvature.riemann):
+        with pytest.raises(curvature.SingularMetricError):
+            one_point(g, points[0])
+
+
+def test_metric_singular_everywhere_by_overflow_raises():
+    g = curvature.MetricField.from_rows(
+        PLANE, [[parse_field("1e-310*(2 + x2^2)", PLANE), 0.0], [0.0, 1.0]]
+    )
+    with pytest.raises(curvature.SingularMetricError, match="every sample point"):
+        curvature.curvature_report(g, [(0.3, 0.5), (-0.2, 0.1)])

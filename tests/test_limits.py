@@ -1,9 +1,7 @@
 """Expression depth limits: deep input is a parse error, never a crash."""
 
-import gc
 import json
-import math
-import time
+import sys
 
 import pytest
 
@@ -87,16 +85,22 @@ def test_rendering_the_derivative_of_a_deep_product():
     # d(P*f) = dP*f + P for a product P of n - 1 factors and f = 1 + x1
     assert product(300).render().endswith(")*(1 + x1) + " + "*".join(["(1 + x1)"] * 299))
     # the work is linear in the distinct nodes, so doubling the factors
-    # about doubles the time; the best of several alternating runs
-    best = {100: math.inf, 200: math.inf}
-    fields = {n: product(n) for n in best}
-    gc.disable()
+    # about doubles the Python calls of a render; a quadratic one makes 4x
+    calls = {n: _python_calls(product(n).render) for n in (100, 200)}
+    assert calls[200] < 2.5 * calls[100], calls
+
+
+def _python_calls(fn) -> int:
+    """Python function calls made while running fn(), a deterministic cost."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    sys.setprofile(profile)
     try:
-        for _ in range(9):
-            for n, field in fields.items():
-                start = time.perf_counter()
-                field.render()
-                best[n] = min(best[n], time.perf_counter() - start)
+        fn()
     finally:
-        gc.enable()
-    assert best[200] < 2.5 * best[100], best
+        sys.setprofile(None)
+    return count

@@ -178,3 +178,19 @@ def test_underflowing_log_derivative_is_a_domain_error_alone_and_in_a_batch():
     with pytest.raises(DomainError, match="overflow evaluating log") as info:
         field.jet(np.array([[0.5, 0.5], [1e-200, 0.5]]), 2)
     assert info.value.point == (1e-200, 0.5)
+
+
+def test_nan_coefficient_is_checked_not_called_vanishing(capsys):
+    # inf - inf is NaN at every point: the triple is checked and fails
+    code, out = run_cli(
+        capsys, "triple", "--a", "1e300*1e300 - 1e300*1e300", "--samples", "10", "--json"
+    )
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["data"]["points_used"] == 10
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert len(failed) == 16 and len(payload["checks"]) == 18
+    assert all(c["residual"] == math.inf for c in failed)
+    code, out = run_cli(capsys, "triple", "--a", "0", "--samples", "10")
+    assert code == 2
+    assert json.loads(out)["error"]["stage"] == "input"
