@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import curvature, fluids, ma4, ma6, reduction
-from .exterior import DifferentialForm, sampled_max, stacked, sup_norm
+from .exterior import DifferentialForm, sampled_max, stacked, sup_norm, sup_norms
 from .fieldexpr import ScalarField, eval_many
 from .fieldexpr.parse import parse_field
 from .report import CheckResult, Report
@@ -144,8 +144,7 @@ def _vec_vortex_dual(config: RunConfig, inject: bool) -> CheckResult:
         chart, 3, [((0, 1, 5), 2.0), ((0, 1, 2), a * -2.0)]
     )
     worst = max(
-        sup_norm(s.omega + dual - expected_sum, points),
-        sup_norm(s.omega - dual - expected_diff, points),
+        sup_norms(points, s.omega + dual - expected_sum, s.omega - dual - expected_diff)
     )
     return CheckResult("vortex-dual-split", worst < 1e-12, worst, 1e-12)
 
@@ -184,8 +183,9 @@ def _vec_shear_reduction(config: RunConfig, inject: bool) -> CheckResult:
         expected_theta = DifferentialForm.build(
             chart, 2, [((1, 2), -1.0), ((0, 3), 1.0), ((0, 1), gamma)]
         )
-        residuals.append(sup_norm(red["omega_c"] - expected_omega, points))
-        residuals.append(sup_norm(red["theta_c"] - expected_theta, points))
+        residuals += sup_norms(
+            points, red["omega_c"] - expected_omega, red["theta_c"] - expected_theta
+        )
         cv = reduction.change_variables_64(red["omega_c"], red["theta_c"], gamma, points)
         residuals += [cv["residual_tc"], cv["residual_oc"], cv["residual_o0"]]
     worst = max(residuals)

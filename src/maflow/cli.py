@@ -12,6 +12,7 @@ envelope {stage, message, offset?, point?}.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Sequence
@@ -360,6 +361,7 @@ def cmd_grid(args: argparse.Namespace, config: RunConfig) -> Report:
     return report
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="sampling seed")

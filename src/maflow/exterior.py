@@ -15,7 +15,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fieldexpr import Chart, ChartError, ScalarField, eval_many
+from .fieldexpr import Chart, ChartError, DomainError, ScalarField, eval_many
 from .fieldexpr.field import BATCH
 
 
@@ -746,12 +746,43 @@ def stacked(points: Sequence[Sequence[float]] | np.ndarray, *items) -> list[np.n
     return out
 
 
+def sup_norms(
+    points: Sequence[Sequence[float]], *items: DifferentialForm | ScalarField
+) -> list[float]:
+    """``sup_norm`` of each item over the same sample points, in one pass.
+
+    Every slice of the sample evaluates all the items' coefficients in one
+    ``stacked`` call, so their trees share one walk and one memo; each item
+    keeps its own reduction, so each value is bit-identical to its own
+    ``sup_norm``. A DomainError is the one that the items' ``sup_norm``
+    calls, made in order, raise first.
+    """
+    groups = [
+        [item] if isinstance(item, ScalarField) else list(item.terms.values()) for item in items
+    ]
+
+    def residual(sample):
+        return dict(enumerate(stacked(sample, *groups)))
+
+    try:
+        parts = sampled_max(points, residual).parts
+    except DomainError:
+        if len(items) == 1:
+            raise
+        # the joint walk fails at the first failing point of any item; the
+        # sequential calls fail at the first failing item, wherever its point
+        for item in items:
+            sup_norm(item, points)
+        raise
+    # an empty sample has no named parts
+    return [parts[k].value if parts else 0.0 for k in range(len(items))]
+
+
 def sup_norm(
     item: DifferentialForm | ScalarField, points: Sequence[Sequence[float]]
 ) -> float:
     """Largest absolute value of a field, or of a form's coefficients, over the sample points."""
-    fields = [item] if isinstance(item, ScalarField) else list(item.terms.values())
-    return sampled_max(points, lambda sample: eval_many(fields, sample).T).value
+    return sup_norms(points, item)[0]
 
 
 def operator_sup_diff(

@@ -241,7 +241,7 @@ def grid_load(path: str) -> GridField:
         header = [h.strip() for h in header]
         rows = []
         for lineno, raw in enumerate(reader, start=2):
-            if not raw or all(not cell.strip() for cell in raw):
+            if not "".join(raw).strip():
                 continue
             if len(raw) != len(header):
                 raise GridError(f"row {lineno} has {len(raw)} cells, expected {len(header)}")

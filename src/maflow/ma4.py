@@ -34,7 +34,7 @@ from .exterior import (
     sampled_max,
     signatures,
     stacked,
-    sup_norm,
+    sup_norms,
     wedge,
 )
 from .fieldexpr import Chart, DomainError, ScalarField, absval, eval_many, sqrt
@@ -369,10 +369,20 @@ def integrability(
 
     The structure is integrable exactly when omega / sqrt(|pfaffian|) is
     closed; that holds iff the coefficient is locally constant. The product
-    operator is integrable regardless, which is reported as a note.
+    operator is integrable regardless, which is reported as a note. A
+    coefficient that is not finite somewhere on the sample is neither: both
+    residuals read inf.
     """
-    residual = sup_norm(structure.integrability_form(), points)
-    d_coeff = sup_norm(differential(structure.pfaffian), points)
+    residual, d_coeff, coeff = sup_norms(
+        points,
+        structure.integrability_form(),
+        differential(structure.pfaffian),
+        structure.pfaffian,
+    )
+    if coeff == math.inf:
+        # the derivative of a NaN or inf constant is structurally zero, so the
+        # forms alone would call such a coefficient constant and integrable
+        residual = d_coeff = math.inf
     return {
         "max_residual": residual,
         "integrable": residual < tol,
@@ -397,8 +407,6 @@ def verify_generalized_solution(
     the sign of the coefficient at each point.
     """
     fmap = stream_graph_map(psi, structure.chart)
-    omega_res = sup_norm(pullback(structure.omega, fmap), points)
-    big_res = sup_norm(pullback(structure.big_omega, fmap), points)
     metric = structure.metric if structure.metric is not None else lr_metric(structure)
     h = pullback_symmetric(metric, fmap)
     det_h = h.entries[0][0] * h.entries[1][1] - h.entries[0][1] * h.entries[0][1]
@@ -406,8 +414,13 @@ def verify_generalized_solution(
     a_pull = fmap.pull_scalar(structure.pfaffian)
     det_field = det_h - a_pull * 4.0
     trace_field = tr_h - laplacian2(psi) * 2.0
-    det_residual = sup_norm(det_field, points)
-    trace_residual = sup_norm(trace_field, points)
+    omega_res, big_res, det_residual, trace_residual = sup_norms(
+        points,
+        pullback(structure.omega, fmap),
+        pullback(structure.big_omega, fmap),
+        det_field,
+        trace_field,
+    )
     a_values, h_values = stacked(points, a_pull, h)
     rows = []
     dichotomy = True

@@ -46,7 +46,7 @@ from .exterior import (
     pullback,
     sampled_max,
     stacked,
-    sup_norm,
+    sup_norms,
     trace_m_squared,
     volume_form,
     wedge,
@@ -326,9 +326,10 @@ def integrability6(
     else:
         scale = sqrt(quarter)
     omega_n = omega * scale
-    closure = sup_norm(ext_derivative(omega_n), points)
     dual_n = hitchin_dual(omega_n, vol)
-    dual_closure = sup_norm(ext_derivative(dual_n), points)
+    closure, dual_closure = sup_norms(
+        points, ext_derivative(omega_n), ext_derivative(dual_n)
+    )
     metric = lr_metric6(omega, big_omega, vol)
     flat = flatness_verdict(metric, flatness_points if flatness_points is not None else points)
     passed = closure < tol and dual_closure < tol and flat["verdict"] == "Flat"
@@ -569,12 +570,11 @@ def verify_bilagrangian(
     graph = velocity_graph(u, pair.chart)
     omega_pull = pullback(pair.omega, graph)
     theta_pull = pullback(pair.theta, graph)
-    omega_residual = sup_norm(omega_pull, points)
-    theta_residual = sup_norm(theta_pull, points)
     pressure = graph.pull_scalar(pair.a) * 2.0 + trace_m_squared(u)
     div = divergence(u)
-    div_residual = sup_norm(div, points)
-    pressure_residual = sup_norm(pressure, points)
+    omega_residual, theta_residual, div_residual, pressure_residual = sup_norms(
+        points, omega_pull, theta_pull, div, pressure
+    )
     passed = omega_residual < tol and theta_residual < tol
     return {
         "omega_residual": omega_residual,

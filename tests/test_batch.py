@@ -8,8 +8,16 @@ import sys
 import numpy as np
 import pytest
 
-from maflow import catalog, curvature, fluids, ma4
-from maflow.exterior import Peak, sampled_max
+from maflow import catalog, curvature, exterior, fluids, ma4
+from maflow.exterior import (
+    DifferentialForm,
+    Peak,
+    sampled_max,
+    sup_norm,
+    sup_norms,
+    volume_form,
+    zero_form,
+)
 from maflow.fieldexpr import Chart, DomainError, ScalarField, eval_many, parse_field
 from maflow.fieldexpr import field as field_module
 from maflow.fieldexpr.field import BATCH
@@ -212,6 +220,67 @@ def test_sampled_max_of_zero_residual_and_empty_sample():
     assert sampled_max(LINE, lambda s: np.zeros(len(s))) == Peak(0.0, None, {})
     assert sampled_max([], lambda s: np.ones(len(s))) == Peak(0.0, None, {})
     assert sampled_max([], lambda s: {"a": np.ones(len(s))}) == Peak(0.0, None, {})
+
+
+def reference_sup(item, points):
+    """The point-by-point sup of a field or of a form's coefficients; NaN counts as inf."""
+    fields = [item] if isinstance(item, ScalarField) else list(item.terms.values())
+    best = 0.0
+    for p in points:
+        for f in fields:
+            value = abs(f.eval(p))
+            best = max(best, value if math.isfinite(value) else math.inf)
+    return best
+
+
+def test_sup_norms_match_each_items_own_sup_norm():
+    points = sample_points(3, 300, 5)  # three slices
+    points[:, 2] = 0.0
+    points[BATCH + 72, 2] = 0.5  # the overflowing item is NaN here only
+    f = parse_field("sin(x1)*exp(x2) + x3", SPACE)
+    g = parse_field("x1^2 - 3*x2*x3", SPACE)
+    items = [
+        DifferentialForm.build(SPACE, 2, [((0, 1), f), ((1, 2), f * g)]),
+        volume_form(SPACE, g - f),
+        f * g,
+        zero_form(SPACE, 2),
+        parse_field("x3*1e300*1e300 - x3*1e300*1e300", SPACE),
+    ]
+    expected = [reference_sup(item, points) for item in items]
+    assert expected[3] == 0.0 and expected[4] == math.inf
+    assert sup_norms(points, *items) == expected
+    assert [sup_norm(item, points) for item in items] == expected
+    assert sup_norms(points[:0], *items) == [0.0] * len(items)
+
+
+def test_sup_norms_raise_the_error_of_the_first_failing_item():
+    sample = np.ones((3 * BATCH, 2))
+    sample[2 * BATCH + 5, 0] = -1.0  # the first item fails in the last slice
+    sample[5, 1] = -1.0  # the second fails earlier, in the first
+    first = DifferentialForm.build(PLANE, 2, [((0, 1), parse_field("log(x1)", PLANE))])
+    second = parse_field("sqrt(x2)", PLANE)
+    with pytest.raises(DomainError) as alone:
+        sup_norm(first, sample)
+    with pytest.raises(DomainError) as joint:
+        sup_norms(sample, first, second)
+    assert str(joint.value) == str(alone.value)
+    assert joint.value.point == alone.value.point == (-1.0, 1.0)
+
+
+def test_a_one_item_domain_error_is_raised_after_one_walk(monkeypatch):
+    calls = []
+    stacked = exterior.stacked
+
+    def counting(*args):
+        calls.append(len(args[0]))
+        return stacked(*args)
+
+    monkeypatch.setattr(exterior, "stacked", counting)
+    sample = np.ones((3 * BATCH, 2))
+    sample[5, 1] = -1.0
+    with pytest.raises(DomainError, match="sqrt"):
+        sup_norms(sample, parse_field("sqrt(x2)", PLANE))
+    assert calls == [BATCH]
 
 
 # -- the batched curvature pass against the per-point one ---------------------

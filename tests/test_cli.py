@@ -350,6 +350,17 @@ def test_unknown_action_is_an_argparse_error(capsys):
     assert exc.value.code == 2
 
 
+def test_the_parser_is_built_once_and_kept_across_argparse_errors(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    args = ("classify", "--a", "1 + x1^2", "--grid", "0:1:3,0:1:3", "--json")
+    first = run_cli(capsys, *args)
+    for bad in (["reduce", "--action", "bogus"], ["classify", "--a", "1", "--psi", "x1"]):
+        with pytest.raises(SystemExit):
+            cli.main(bad)
+    capsys.readouterr()
+    assert run_cli(capsys, *args) == first
+
+
 def test_module_entrypoint():
     proc = subprocess.run(
         [

@@ -178,6 +178,17 @@ def _write_rows(path, lines):
     return str(path)
 
 
+def test_grid_load_skips_blank_and_whitespace_rows(tmp_path):
+    clean = solid_rotation_csv(tmp_path / "solid.csv", n=6)
+    lines = (tmp_path / "solid.csv").read_text().splitlines()
+    padded = lines[:3] + ["", " , ,\t, "] + lines[3:] + [",,,", "  "]
+    expected = fluids.grid_load(clean)
+    grid = fluids.grid_load(_write_rows(tmp_path / "padded.csv", padded))
+    assert grid.shape == expected.shape
+    assert np.array_equal(grid.velocity, expected.velocity)
+    assert np.array_equal(grid.pressure, expected.pressure)
+
+
 def test_grid_load_rejects_malformed_input(tmp_path):
     cases = {
         "empty file": [],

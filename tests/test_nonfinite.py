@@ -85,13 +85,18 @@ def test_folded_overflow_fails_the_euler_pair(capsys):
         assert checks[name]["residual"] == math.inf
 
 
-def test_folded_overflow_in_shear_reduction_leaves_through_the_envelope(capsys):
+def test_folded_overflow_fails_the_shear_straightening(capsys):
+    # a straightening that fails is a verdict, not an input error
     code, out = run_cli(
         capsys, "reduce", "--action", "shear", "--a", "1e300*1e300", "--gamma", "1",
-        "--samples", "10",
+        "--samples", "10", "--json",
     )
-    assert code == 2
-    assert "residual inf" in json.loads(out)["error"]["message"]
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["residual-tc"]["passed"]
+    for name in ("residual-oc", "residual-o0"):
+        assert not checks[name]["passed"]
+        assert checks[name]["residual"] == math.inf
 
 
 def test_classify_rejects_an_infinite_coefficient(capsys):
@@ -194,3 +199,18 @@ def test_nan_coefficient_is_checked_not_called_vanishing(capsys):
     code, out = run_cli(capsys, "triple", "--a", "0", "--samples", "10")
     assert code == 2
     assert json.loads(out)["error"]["stage"] == "input"
+
+
+def test_nan_coefficient_is_not_integrable(capsys):
+    # the derivative of a NaN constant is structurally zero; the sup of the
+    # coefficient itself is what shows the failure
+    code, out = run_cli(
+        capsys, "triple", "--a", "1e300*1e300 - 1e300*1e300", "--samples", "10", "--json"
+    )
+    assert code == 1
+    assert json.loads(out)["data"]["integrability"] == {
+        "max_residual": math.inf,
+        "integrable": False,
+        "coefficient_constant": False,
+        "note": "the product operator is integrable for any coefficient",
+    }
