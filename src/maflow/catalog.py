@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import curvature, fluids, ma4, ma6, reduction
-from .exterior import DifferentialForm, sampled_max, stacked, sup_norm, sup_norms
-from .fieldexpr import ScalarField, eval_many
+from .exterior import DifferentialForm, sampled_max, sup_norm, sup_norms
+from .fieldexpr import ScalarField
 from .fieldexpr.parse import parse_field
 from .report import CheckResult, Report
 from .sampling import RunConfig, run_points
@@ -57,11 +57,10 @@ def _vec_flow_pfaffians(config: RunConfig, inject: bool) -> CheckResult:
     pf = s.pfaffian
     pf_dual = s.dual_structure().pfaffian
 
-    def residual(sample):
-        pf_v, a_v, dual_v = eval_many([pf, a, pf_dual], sample)
+    def residual(sample, pf_v, a_v, dual_v):
         return np.stack([pf_v - sign * a_v, dual_v + sign * a_v], axis=1)
 
-    worst = sampled_max(points, residual).value
+    worst = sampled_max(points, residual, pf, a, pf_dual).value
     return CheckResult("flow-pfaffians", worst < 1e-12, worst, 1e-12)
 
 
@@ -93,7 +92,7 @@ def _vec_vortex_invariant(config: RunConfig, inject: bool) -> CheckResult:
     s = ma6.burgers_structure("x1^2 + x2^2")
     points = run_points(6, config)
     lam = s.pfaffian
-    worst = sampled_max(points, lambda sample: eval_many([lam], sample)[0] - 1.0).value
+    worst = sampled_max(points, lambda sample, lam_v: lam_v - 1.0, lam).value
     return CheckResult("vortex-invariant", worst < 1e-12, worst, 1e-12)
 
 
@@ -102,13 +101,12 @@ def _vec_vortex_tensor(config: RunConfig, inject: bool) -> CheckResult:
     a = parse_field("x1^2 + x2^2", s.chart)
     points = run_points(6, config)
 
-    def residual(sample):
-        a_v, tensor = stacked(sample, a, s.tensor)
+    def residual(sample, a_v, tensor):
         expected = np.tile(np.diag([-1.0, -1.0, 1.0, 1.0, 1.0, -1.0]), (len(sample), 1, 1))
         expected[:, 5, 2] = 2.0 * a_v
         return tensor - expected
 
-    worst = sampled_max(points, residual).value
+    worst = sampled_max(points, residual, a, s.tensor).value
     return CheckResult("vortex-tensor-matrix", worst < 1e-12, worst, 1e-12)
 
 
@@ -118,8 +116,7 @@ def _vec_vortex_metric(config: RunConfig, inject: bool) -> CheckResult:
     g = s.metric()
     points = run_points(6, config)
 
-    def residual(sample):
-        a_v, metric = stacked(sample, a, g)
+    def residual(sample, a_v, metric):
         expected = np.zeros((len(sample), 6, 6))
         expected[:, 0, 3] = expected[:, 3, 0] = 1.0
         expected[:, 1, 4] = expected[:, 4, 1] = 1.0
@@ -127,7 +124,7 @@ def _vec_vortex_metric(config: RunConfig, inject: bool) -> CheckResult:
         expected[:, 2, 2] = 2.0 * a_v
         return metric - expected
 
-    worst = sampled_max(points, residual).value
+    worst = sampled_max(points, residual, a, g).value
     sig = g.signature((0.5, 0.25, 0.0, 0.0, 0.0, 0.0))
     passed = worst < 1e-12 and sig == (3, 3, 0)
     return CheckResult("vortex-metric", passed, worst, 1e-12, {"signature": list(sig)})

@@ -6,7 +6,8 @@ summaries go to stdout by default; --json switches stdout to the report
 itself and --output writes the report to a file in either mode. Exit codes:
 0 when every check passes, 1 when a check fails (a non-finite residual
 always fails), 2 on input or compute errors, which are printed as a JSON
-envelope {stage, message, offset?, point?}.
+envelope {stage, message, offset?, point?}, and 2 when stdout is closed
+before the report is written.
 """
 
 from __future__ import annotations
@@ -462,6 +463,19 @@ def _render_text(report: Report) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (`| head`): devnull keeps the exit flush from raising
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print("maflow: stdout was closed before the report was written", file=sys.stderr)
+        return 2
+    return code
+
+
+def _run(argv: Sequence[str] | None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "handler", None) is None:

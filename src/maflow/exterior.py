@@ -16,7 +16,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .fieldexpr import Chart, ChartError, DomainError, ScalarField, eval_many
-from .fieldexpr.field import BATCH
+from .fieldexpr.field import per_slice
 
 
 class NondegeneracyError(ValueError):
@@ -528,12 +528,17 @@ class OperatorField:
 def signatures(matrices: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """(positive, negative, zero) eigenvalue counts of each matrix in an
     (N, n, n) stack of symmetric matrices; a count is significant above
-    tol times the largest eigenvalue magnitude, but at least tol."""
-    vals = np.linalg.eigvalsh(matrices)
+    tol times the largest eigenvalue magnitude, but at least tol; a matrix
+    with a non-finite entry has no eigenvalues and the row (-1, -1, -1)."""
+    finite = np.isfinite(matrices).all(axis=(-2, -1))
+    vals = np.zeros(matrices.shape[:-1])
+    vals[finite] = np.linalg.eigvalsh(matrices[finite])
     bound = tol * np.maximum(np.max(np.abs(vals), axis=-1), 1.0)[:, np.newaxis]
     pos = np.sum(vals > bound, axis=-1)
     neg = np.sum(vals < -bound, axis=-1)
-    return np.stack([pos, neg, matrices.shape[-1] - pos - neg], axis=-1)
+    counts = np.stack([pos, neg, matrices.shape[-1] - pos - neg], axis=-1)
+    counts[~finite] = -1
+    return counts
 
 
 def matmul_fields(
@@ -655,29 +660,32 @@ class Peak(NamedTuple):
 
 
 def sampled_max(
-    points: Sequence[Sequence[float]] | np.ndarray, residual: Callable[[np.ndarray], object]
+    points: Sequence[Sequence[float]] | np.ndarray, residual: Callable[..., object], *items
 ) -> Peak:
     """Largest absolute residual over the sample points and where it peaks.
 
-    ``residual(sample)`` receives the sample as an (N, dim) array, in
-    consecutive slices of at most ``BATCH`` points (as ``eval_many`` walks
-    them, so that a check's memory does not grow with N), and returns an array
-    with the point on axis 0, or a dict of them by name. It runs under
-    ``np.errstate(all="ignore")``: overflow and invalid arithmetic show up
-    as non-finite residuals, not as warnings. A non-finite value counts as
-    inf, so it cannot pass a ``< tol`` test. The witness is the first point
-    attaining the maximum, when that is above zero; an empty sample gives
-    0.0 with no witness and no named parts.
+    ``residual(sample, *values)`` gets each slice of ``per_slice`` as an
+    (N, dim) array, so a check's memory does not grow with N, and ``values =
+    stacked(sample, *items)``, so the items share one walk and one memo per
+    slice. It returns an array with the point on axis 0, or a dict of them
+    by name, and runs under ``np.errstate(all="ignore")``: overflow shows up
+    as a non-finite residual, which counts as inf, so it cannot pass a
+    ``< tol`` test. The witness is the first point attaining the maximum,
+    when that is above zero; an empty sample gives 0.0 with no witness and
+    no named parts. A DomainError's ``index`` counts from the sample start.
     """
     sample = np.asarray(points, dtype=float)
     maxima: dict = {}
+
+    def reduce(rows):
+        batch = sample[rows]
+        r = residual(batch, *(stacked(batch, *items) if items else ()))
+        for name, part in r.items() if isinstance(r, dict) else ((None, r),):
+            part = np.abs(np.asarray(part, dtype=float)).reshape(len(batch), -1)
+            maxima.setdefault(name, []).append(part.max(axis=1, initial=0.0))
+
     with np.errstate(all="ignore"):
-        for start in range(0, len(sample), BATCH):
-            batch = sample[start : start + BATCH]
-            r = residual(batch)
-            for name, part in r.items() if isinstance(r, dict) else ((None, r),):
-                part = np.abs(np.asarray(part, dtype=float)).reshape(len(batch), -1)
-                maxima.setdefault(name, []).append(part.max(axis=1, initial=0.0))
+        per_slice(reduce, len(sample))
     peaks: dict = {}
     for name, parts in maxima.items():
         per_point = np.concatenate(parts)
@@ -749,23 +757,17 @@ def stacked(points: Sequence[Sequence[float]] | np.ndarray, *items) -> list[np.n
 def sup_norms(
     points: Sequence[Sequence[float]], *items: DifferentialForm | ScalarField
 ) -> list[float]:
-    """``sup_norm`` of each item over the same sample points, in one pass.
+    """``sup_norm`` of each item over the same sample points, in one ``sampled_max`` pass.
 
-    Every slice of the sample evaluates all the items' coefficients in one
-    ``stacked`` call, so their trees share one walk and one memo; each item
-    keeps its own reduction, so each value is bit-identical to its own
-    ``sup_norm``. A DomainError is the one that the items' ``sup_norm``
-    calls, made in order, raise first.
+    Each value is bit-identical to the item's own ``sup_norm``. A DomainError
+    is the one that the items' ``sup_norm`` calls, made in order, raise first.
     """
     groups = [
         [item] if isinstance(item, ScalarField) else list(item.terms.values()) for item in items
     ]
 
-    def residual(sample):
-        return dict(enumerate(stacked(sample, *groups)))
-
     try:
-        parts = sampled_max(points, residual).parts
+        parts = sampled_max(points, lambda sample, *values: dict(enumerate(values)), *groups).parts
     except DomainError:
         if len(items) == 1:
             raise
@@ -788,8 +790,4 @@ def sup_norm(
 def operator_sup_diff(
     a: OperatorField, b: OperatorField, points: Sequence[Sequence[float]]
 ) -> float:
-    def residual(sample):
-        a_values, b_values = stacked(sample, a, b)
-        return a_values - b_values
-
-    return sampled_max(points, residual).value
+    return sampled_max(points, lambda sample, a_values, b_values: a_values - b_values, a, b).value

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -179,6 +179,21 @@ class ScalarField:
 BATCH = 128
 
 
+def per_slice(run: Callable[[slice], None], size: int) -> None:
+    """``run(rows)`` for each consecutive slice of at most ``BATCH`` of ``size`` points.
+
+    A DomainError raised inside gets its ``index``, when set, moved from the
+    slice to the sample, so it names the sample point whatever the slice.
+    """
+    for start in range(0, size, BATCH):
+        try:
+            run(slice(start, start + BATCH))
+        except DomainError as exc:
+            if exc.index is not None:
+                exc.index += start
+            raise
+
+
 def eval_many(fields: Sequence[ScalarField], points) -> np.ndarray:
     """Values of the fields over a sample: one row per field, one column per point.
 
@@ -194,14 +209,12 @@ def eval_many(fields: Sequence[ScalarField], points) -> np.ndarray:
         return out
     sample = _shared_sample(fields, points)
     asts = [f.ast for f in fields]
-    for start in range(0, len(sample), BATCH):
-        try:
-            values = _evaluate_batch(asts, sample[start : start + BATCH], 0)
-        except DomainError as exc:
-            exc.index += start
-            raise
-        for row, value in zip(out[:, start : start + BATCH], values):
+
+    def walk(rows):
+        for row, value in zip(out[:, rows], _evaluate_batch(asts, sample[rows], 0)):
             row[:] = value
+
+    per_slice(walk, len(sample))
     return out
 
 

@@ -118,14 +118,6 @@ class Flow2D:
         return cls(psi_field, stream_velocity(psi_field))
 
 
-def ma_residual_2d(
-    psi: ScalarField, a: ScalarField | str | float, point: Sequence[float]
-) -> float:
-    """Hessian determinant of psi minus the prescribed coefficient."""
-    a_field = coefficient_field(a, psi.chart)
-    return (hessian_det(psi) - a_field).eval(point)
-
-
 def lift_plane_field(field: ScalarField, chart3: Chart | None = None) -> ScalarField:
     """Extend a planar field to a spatial chart, constant in x3."""
     chart3 = chart3 if chart3 is not None else space_chart()

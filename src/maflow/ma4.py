@@ -334,11 +334,7 @@ def triple_relations(
     }
     identity = np.eye(4)
 
-    def residual(sample):
-        wedges, m_s, m_i, m_t, e, w_m, h_m, t_m = stacked(
-            sample, list(wedge_fields.values()), t.product, t.almost_complex, t.tangent,
-            eps, t.omega, t.omega_hat, t.tilde,
-        )
+    def residual(sample, wedges, m_s, m_i, m_t, e, w_m, h_m, t_m):
         e = e[:, np.newaxis, np.newaxis]
         return dict(zip(wedge_fields, wedges.T)) | {
             "defines_product": np.swapaxes(m_s, 1, 2) @ w_m - h_m,
@@ -355,7 +351,10 @@ def triple_relations(
             "si_t": m_s @ m_i + m_t,
         }
 
-    peak = sampled_max(points, residual)
+    peak = sampled_max(
+        points, residual, list(wedge_fields.values()), t.product, t.almost_complex, t.tangent,
+        eps, t.omega, t.omega_hat, t.tilde,
+    )
     residuals = {name: part.value for name, part in peak.parts.items()}
     return {"residuals": residuals, "max_residual": peak.value, "passed": peak.value < tol}
 

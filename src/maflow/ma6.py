@@ -69,10 +69,6 @@ def velocity_chart() -> Chart:
     return Chart(("x1", "x2", "x3", "u1", "u2", "u3"))
 
 
-def base_chart3() -> Chart:
-    return Chart(("x1", "x2", "x3"))
-
-
 def canonical_symplectic(chart: Chart) -> DifferentialForm:
     """dq1^dp1 + dq2^dp2 + dq3^dp3 with fibers in the last three slots."""
     if chart.dim != 6:
@@ -248,8 +244,7 @@ def _compatibility(
 ) -> dict:
     degenerate = []
 
-    def residual(sample):
-        lv, kmat, gmat, bmat = stacked(sample, lam, tensor, metric, big_omega)
+    def residual(sample, lv, kmat, gmat, bmat):
         skip = np.abs(lv) < tol
         degenerate.extend(tuple(float(c) for c in p) for p in sample[skip])
         root = np.sqrt(np.abs(lv))[:, np.newaxis, np.newaxis]
@@ -259,7 +254,7 @@ def _compatibility(
         out[skip] = 0.0
         return out
 
-    worst = sampled_max(points, residual).value
+    worst = sampled_max(points, residual, lam, tensor, metric, big_omega).value
     return {
         "max_residual": worst,
         "samples": len(points),
@@ -519,11 +514,7 @@ def euler_pair_relations(
 
     g_theta_target = np.block([[2.0 * eye3, zero3], [zero3, zero3]])
 
-    def residual(sample):
-        av, ko2_v, kt2_v, anti_v, comm_v, g_omega_v, g_theta_v, product_v = stacked(
-            sample, pair.a, ko2, kt2, anti, comm, g_omega, g_theta,
-            list(product.terms.values()),
-        )
+    def residual(sample, av, ko2_v, kt2_v, anti_v, comm_v, g_omega_v, g_theta_v, product_v):
         av = av[:, np.newaxis, np.newaxis]
         ko2_target = -4.0 * av * np.eye(6)
         g_omega_target = np.zeros((len(sample), 6, 6))
@@ -539,7 +530,10 @@ def euler_pair_relations(
             "product": product_v,
         }
 
-    peak = sampled_max(points, residual)
+    peak = sampled_max(
+        points, residual, pair.a, ko2, kt2, anti, comm, g_omega, g_theta,
+        list(product.terms.values()),
+    )
     residuals = {name: part.value for name, part in peak.parts.items()}
     return {"residuals": residuals, "max_residual": peak.value, "passed": peak.value < tol}
 

@@ -140,7 +140,7 @@ def reduce_form(
     if not lie.is_zero:
         if points is None:
             raise InvarianceError("form is not structurally invariant; supply sample points")
-        peak = sampled_max(points, lambda sample: eval_many(list(lie.terms.values()), sample).T)
+        peak = sampled_max(points, lambda sample, values: values, list(lie.terms.values()))
         if peak.value >= tol:
             raise InvarianceError(
                 f"form is not invariant: residual {peak.value:.3e} at {peak.witness}"
@@ -251,11 +251,7 @@ def burgers_decomposition(
     tensor = hitchin_tensor(pi_form)
     y = tensor.apply(x)
     pairing = interior_product(y, interior_product(x, big_omega)).coeff(())
-    def pairing_defect(sample):
-        pairing_values, a_values = eval_many([pairing, a_field], sample)
-        return pairing_values - 2.0 * a_values
-
-    pairing_residual = sampled_max(points, pairing_defect).value
+    pairing_residual = sampled_max(points, lambda _, pv, av: pv - 2.0 * av, pairing, a_field).value
     i_x = interior_product(x, big_omega)
     i_y = interior_product(y, big_omega)
     half = ScalarField.constant(chart, 0.5)
@@ -287,11 +283,7 @@ def burgers_decomposition(
     structure = MAStructure4(reduced_chart, omega_r, big_omega_r, metric=metric_r)
     points4 = [(p[0], p[1], p[3], p[4]) for p in points]
 
-    def pfaffian_defect(sample):
-        pf_values, a_values = eval_many([structure.pfaffian, a4], sample)
-        return pf_values - a_values
-
-    pf_residual = sampled_max(points4, pfaffian_defect).value
+    pf_residual = sampled_max(points4, lambda _, pf, av: pf - av, structure.pfaffian, a4).value
     dual_residual = sup_norm(structure.dual_form() - omega_hat_r, points4)
     worst = max(
         pairing_residual,

@@ -11,7 +11,9 @@ import pytest
 from maflow import catalog, curvature, exterior, fluids, ma4
 from maflow.exterior import (
     DifferentialForm,
+    OperatorField,
     Peak,
+    SymmetricTensorField,
     sampled_max,
     sup_norm,
     sup_norms,
@@ -281,6 +283,60 @@ def test_a_one_item_domain_error_is_raised_after_one_walk(monkeypatch):
     with pytest.raises(DomainError, match="sqrt"):
         sup_norms(sample, parse_field("sqrt(x2)", PLANE))
     assert calls == [BATCH]
+
+
+# -- one slicer: an error's index counts from the start of the sample --------
+
+
+def test_a_sup_norm_error_names_its_sample_index():
+    sample = np.ones((3 * BATCH, 2))
+    sample[BATCH + 5, 0] = -1.0
+    with pytest.raises(DomainError, match="log") as info:
+        sup_norm(parse_field("log(x1)", PLANE), sample)
+    assert info.value.index == BATCH + 5 and info.value.point == (-1.0, 1.0)
+
+
+def test_a_joint_sup_norms_error_names_its_sample_index():
+    sample = np.ones((3 * BATCH, 2))
+    sample[2 * BATCH + 9, 1] = -1.0  # the second item fails in the third slice
+    with pytest.raises(DomainError, match="sqrt") as info:
+        sup_norms(sample, parse_field("x1^2", PLANE), parse_field("sqrt(x2)", PLANE))
+    assert info.value.index == 2 * BATCH + 9 and info.value.point == (1.0, -1.0)
+
+
+def test_a_curvature_error_names_its_sample_index():
+    points = [(1.0,) * 6] * (3 * BATCH)
+    points[BATCH + 5] = (-1.0,) + (1.0,) * 5
+    with pytest.raises(DomainError, match="log") as info:
+        curvature.curvature_report(curvature.burgers_metric("log(x1)+3"), points)
+    assert info.value.index == BATCH + 5 and info.value.point == points[BATCH + 5]
+
+
+def test_sampled_max_hands_the_residual_the_stacked_values_of_its_items():
+    f = parse_field("sin(x1)*exp(x2) + x3", SPACE)
+    g = parse_field("x1^2 - 3*x2*x3", SPACE)
+    items = (
+        f,
+        [f * g, g - 1.0],
+        OperatorField.from_rows(SPACE, [[f, 1.0, 0.0], [0.0, g, f], [g, 0.0, 2.0]]),
+        SymmetricTensorField.from_rows(SPACE, [[f, g, 0.0], [g, 1.0, f], [0.0, f, g]]),
+        DifferentialForm.build(SPACE, 2, [((0, 1), f), ((1, 2), f * g)]),
+    )
+    points = sample_points(3, 2 * BATCH + 7, 6)
+    seen = []
+
+    def residual(sample, *values):
+        seen.append((sample, values))
+        return values[0]
+
+    assert sampled_max(points, residual, *items).value == reference_sup(f, points)
+    assert [len(sample) for sample, _ in seen] == [BATCH, BATCH, 7]
+    assert np.concatenate([sample for sample, _ in seen]).tobytes() == points.tobytes()
+    for sample, values in seen:
+        expected = exterior.stacked(sample, *items)
+        assert len(values) == len(expected)
+        for value, want in zip(values, expected):
+            assert value.shape == want.shape and value.tobytes() == want.tobytes()
 
 
 # -- the batched curvature pass against the per-point one ---------------------

@@ -361,6 +361,22 @@ def test_the_parser_is_built_once_and_kept_across_argparse_errors(capsys):
     assert run_cli(capsys, *args) == first
 
 
+def test_a_closed_pipe_exits_2_with_one_line_on_stderr():
+    # the report is far larger than a pipe buffer, so closing the read end
+    # after one line breaks the pipe mid-write, as `| head -1` does
+    with subprocess.Popen(
+        [sys.executable, "-m", "maflow.cli", "classify", "--a", "x1*x2",
+         "--grid=-1:1:40,-1:1:40", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert stderr.splitlines() == ["maflow: stdout was closed before the report was written"]
+
+
 def test_module_entrypoint():
     proc = subprocess.run(
         [

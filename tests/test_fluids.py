@@ -63,12 +63,6 @@ def test_weiss_split_spatial():
         fluids.weiss_split(bad, (0.0,) * 4)
 
 
-def test_planar_equation_residual():
-    psi = parse_field("x1^2 + x2^2", PLANE)
-    assert fluids.ma_residual_2d(psi, 4.0, (0.5, -0.3)) == pytest.approx(0.0, abs=1e-14)
-    assert fluids.ma_residual_2d(psi, 1.0, (0.5, -0.3)) == pytest.approx(3.0, abs=1e-14)
-
-
 def test_vortex_flow_construction():
     psi = parse_field("sin(x1) + x2^2", PLANE)
     flow = fluids.burgers_build(1.5, psi, c=0.25)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from maflow import ma6
+from maflow import fluids, ma6
 from maflow.exterior import DifferentialForm, VectorField, pullback, sup_norm, wedge
 from maflow.fieldexpr import parse_field
 from maflow.sampling import sample_points
@@ -164,7 +164,7 @@ def test_euler_pair_relations_and_product():
 
 def test_laplace_threeform_restricts_to_laplacian():
     # graph of a gradient: pullback of the harmonic form is Laplacian(f) vol3
-    base = ma6.base_chart3()
+    base = fluids.space_chart()
     f = parse_field("x1^2 + 3*x2^2 - x3^2", base)
     u = VectorField(base, tuple(f.derivative(i) for i in range(3)))
     graph = ma6.velocity_graph(u, MOM)
@@ -175,7 +175,7 @@ def test_laplace_threeform_restricts_to_laplacian():
 
 
 def test_verify_bilagrangian_rotation():
-    base = ma6.base_chart3()
+    base = fluids.space_chart()
     u = VectorField(
         base,
         (

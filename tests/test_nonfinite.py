@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from maflow import cli
-from maflow.exterior import sup_norm
+from maflow.exterior import signatures, sup_norm
 from maflow.fieldexpr import Chart, DomainError, ExprSyntaxError, parse_field
 from maflow.fieldexpr.nodes import fmt_number
 from maflow.ma4 import flow_structure
@@ -121,14 +121,29 @@ def test_structure_classify_rejects_a_nan_coefficient():
         s.classify(np.array([1e300, 0.0, 0.0, 0.0]))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_eigenvalue_failure_is_a_compute_error(capsys):
+@pytest.mark.parametrize("text", [
+    pytest.param("1e300*1e300", id="inf"),
+    pytest.param("1e300*1e300 - 1e300*1e300", id="nan"),
+])
+def test_a_non_finite_hitchin_metric_fails_at_inf(capsys, text):
+    # the metric has no signature to show, but the check still gives a verdict
     code, out = run_cli(
-        capsys, "hitchin", "--structure", "burgers-cy", "--a", "1e300*1e300",
-        "--samples", "5",
+        capsys, "hitchin", "--structure", "burgers-cy", "--a", text, "--samples", "5", "--json",
     )
-    assert code == 2
-    assert json.loads(out)["error"]["stage"] == "compute"
+    assert code == 1
+    payload = json.loads(out)
+    check = {c["name"]: c for c in payload["checks"]}["metric-tensor-compatibility"]
+    assert not check["passed"] and check["residual"] == math.inf
+    assert "metric signature at first sample = (-1, -1, -1)" in payload["data"]["display"]
+
+
+def test_signatures_mark_non_finite_matrices():
+    matrices = np.array([
+        [[math.inf, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.0, -2.0]],
+        [[math.nan, 1.0], [1.0, 0.0]],
+    ])
+    assert signatures(matrices).tolist() == [[-1, -1, -1], [1, 1, 0], [-1, -1, -1]]
 
 
 @pytest.mark.parametrize("text", ["sin(1e300*1e300)", "x1^(-400)"])
