@@ -45,7 +45,7 @@ def metric6(name: str, a: ScalarField | str | float | None = None) -> curvature.
             raise ValueError("metric burgers-cy needs a coefficient")
         return curvature.burgers_metric(a)
     if name in ("hess1", "speciallag"):
-        return curvature.MetricField.from_tensor(structure6(name).metric())
+        return curvature.MetricField.from_tensor(structure6(name).metric)
     raise ValueError(f"unknown metric {name!r}")
 
 
@@ -113,7 +113,7 @@ def _vec_vortex_tensor(config: RunConfig, inject: bool) -> CheckResult:
 def _vec_vortex_metric(config: RunConfig, inject: bool) -> CheckResult:
     s = ma6.burgers_structure("x1^2 + x2^2")
     a = parse_field("x1^2 + x2^2", s.chart)
-    g = s.metric()
+    g = s.metric
     points = run_points(6, config)
 
     def residual(sample, a_v, metric):

@@ -214,7 +214,7 @@ def cmd_hitchin(args: argparse.Namespace, config: RunConfig) -> Report:
     base_point = points[0]
     display = [
         f"invariant = {lam_value if lam_value is not None else lam.render()}",
-        f"metric signature at first sample = {s.metric().signature(base_point)}",
+        f"metric signature at first sample = {s.metric.signature(base_point)}",
         f"dual form = {render_form(s.dual())}",
     ]
     report.data = {

@@ -431,9 +431,9 @@ class SymmetricTensorField:
     def eval(self, point: Sequence[float]) -> np.ndarray:
         return stacked([point], self)[0][0]
 
-    def signature(self, point: Sequence[float], tol: float = 1e-9) -> tuple[int, int, int]:
+    def signature(self, point: Sequence[float]) -> tuple[int, int, int]:
         """Counts of (positive, negative, zero) eigenvalues at the point."""
-        pos, neg, zero = signatures(stacked([point], self)[0], tol)[0]
+        pos, neg, zero = signatures(stacked([point], self)[0])[0]
         return int(pos), int(neg), int(zero)
 
     def to_dict(self) -> dict:
@@ -525,15 +525,15 @@ class OperatorField:
         return acc
 
 
-def signatures(matrices: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def signatures(matrices: np.ndarray) -> np.ndarray:
     """(positive, negative, zero) eigenvalue counts of each matrix in an
     (N, n, n) stack of symmetric matrices; a count is significant above
-    tol times the largest eigenvalue magnitude, but at least tol; a matrix
+    1e-9 times the largest eigenvalue magnitude, but at least 1e-9; a matrix
     with a non-finite entry has no eigenvalues and the row (-1, -1, -1)."""
     finite = np.isfinite(matrices).all(axis=(-2, -1))
     vals = np.zeros(matrices.shape[:-1])
     vals[finite] = np.linalg.eigvalsh(matrices[finite])
-    bound = tol * np.maximum(np.max(np.abs(vals), axis=-1), 1.0)[:, np.newaxis]
+    bound = 1e-9 * np.maximum(np.max(np.abs(vals), axis=-1), 1.0)[:, np.newaxis]
     pos = np.sum(vals > bound, axis=-1)
     neg = np.sum(vals < -bound, axis=-1)
     counts = np.stack([pos, neg, matrices.shape[-1] - pos - neg], axis=-1)

@@ -46,16 +46,15 @@ HYPERBOLIC = "hyperbolic"
 DEGENERATE = "degenerate"
 
 
-def classify_value(value: float, point: Sequence[float], tol: float | None = None) -> str:
-    """Type from the sign of the coefficient's value at a point; the default
+def classify_value(value: float, point: Sequence[float]) -> str:
+    """Type from the sign of the coefficient's value at a point; the
     tolerance is 1e-10, relative above 1. A non-finite value has no type."""
     if not math.isfinite(value):
         where = tuple(float(c) for c in point)
         error = DomainError(f"coefficient is {value} at {where}, which has no type")
         error.point = where
         raise error
-    if tol is None:
-        tol = 1e-10 * max(1.0, abs(value))
+    tol = 1e-10 * max(1.0, abs(value))
     if value > tol:
         return ELLIPTIC
     if value < -tol:
@@ -147,8 +146,8 @@ class MAStructure4:
         """A with omega(X, Y) = big_omega(A X, Y); A^2 = -pfaffian * Id."""
         return operator_from_pair(self.omega, self.big_omega)
 
-    def classify(self, point: Sequence[float], tol: float | None = None) -> str:
-        return classify_value(self.pfaffian.eval(point), point, tol)
+    def classify(self, point: Sequence[float]) -> str:
+        return classify_value(self.pfaffian.eval(point), point)
 
     def normalized_omega(self) -> DifferentialForm:
         """omega / sqrt(|pfaffian|); closed iff the structure is integrable."""
@@ -256,12 +255,10 @@ def laplacian2(psi: ScalarField) -> ScalarField:
     return psi.derivative(0, 0) + psi.derivative(1, 1)
 
 
-def structure_tensor(structure: MAStructure4, normalized: bool = False) -> OperatorField:
-    """A with omega = big_omega(A ., .); normalized, A / sqrt(|pfaffian|)."""
-    if not normalized:
-        return structure.operator
-    scale = 1.0 / sqrt(absval(structure.pfaffian))
-    return structure.operator * scale
+def structure_tensor(structure: MAStructure4) -> OperatorField:
+    """A with omega = big_omega(A ., .); its normalized form
+    A / sqrt(|pfaffian|) is ``structure.triple().almost_complex``."""
+    return structure.operator
 
 
 def lr_metric(structure: MAStructure4) -> SymmetricTensorField:
@@ -291,19 +288,16 @@ def lr_metric(structure: MAStructure4) -> SymmetricTensorField:
     return SymmetricTensorField.from_rows(chart, rows)
 
 
-def build_triple(
-    structure: MAStructure4, points: Sequence[Sequence[float]] | None = None
-) -> Triple:
+def build_triple(structure: MAStructure4, points: Sequence[Sequence[float]]) -> Triple:
     """Normalized triple, guarded against the degenerate locus.
 
-    When sample points are given, the pfaffian must not vanish at any of
-    them; the first offending point is named in the error.
+    The pfaffian must not vanish at any of the sample points; the first
+    offending point is named in the error.
     """
-    if points is not None:
-        vanishing = np.abs(eval_many([structure.pfaffian], points)[0]) <= 1e-12
-        if vanishing.any():
-            p = points[int(vanishing.argmax())]
-            raise NondegeneracyError(f"pfaffian vanishes at {tuple(float(c) for c in p)}")
+    vanishing = np.abs(eval_many([structure.pfaffian], points)[0]) <= 1e-12
+    if vanishing.any():
+        p = points[int(vanishing.argmax())]
+        raise NondegeneracyError(f"pfaffian vanishes at {tuple(float(c) for c in p)}")
     return structure.triple()
 
 
@@ -403,7 +397,8 @@ def verify_generalized_solution(
     the planar sample. Also returns the induced metric together with its
     determinant and trace identities (4 a and twice the Laplacian of psi,
     the first holding on solutions only) and the signature dichotomy by
-    the sign of the coefficient at each point.
+    the sign of the coefficient at each point, which a point whose
+    coefficient is not finite breaks.
     """
     fmap = stream_graph_map(psi, structure.chart)
     metric = structure.metric if structure.metric is not None else lr_metric(structure)
@@ -426,6 +421,8 @@ def verify_generalized_solution(
     for p, av, sig in zip(points, a_values.tolist(), signatures(h_values).tolist()):
         sig = tuple(sig)
         rows.append({"point": tuple(float(c) for c in p), "a": av, "signature": sig})
+        if not math.isfinite(av):
+            dichotomy = False
         if av > 1e-10 and sig not in ((2, 0, 0), (0, 2, 0)):
             dichotomy = False
         if av < -1e-10 and sig != (1, 1, 0):

@@ -45,7 +45,6 @@ from .exterior import (
     interior_product,
     pullback,
     sampled_max,
-    stacked,
     sup_norms,
     trace_m_squared,
     volume_form,
@@ -87,17 +86,9 @@ def coefficient_field(a: ScalarField | str | float, chart: Chart) -> ScalarField
     return ScalarField.constant(chart, float(a))
 
 
-def _vol_coefficient(vol: DifferentialForm) -> ScalarField:
-    if vol.degree != vol.chart.dim:
-        raise ValueError("volume form must have top degree")
-    coeff = vol.terms.get(tuple(range(vol.chart.dim)))
-    if coeff is None or coeff.is_zero:
-        raise NondegeneracyViolation("volume form vanishes")
-    return coeff
-
-
-def hitchin_tensor(omega: DifferentialForm, vol: DifferentialForm | None = None) -> OperatorField:
-    """Endomorphism K with e^j ^ i_{e_i}(omega) ^ omega = K[j][i] vol.
+def hitchin_tensor(omega: DifferentialForm) -> OperatorField:
+    """Endomorphism K with e^j ^ i_{e_i}(omega) ^ omega = K[j][i] vol, where
+    vol is the coordinate volume form of the chart.
 
     The probe covector sits in front; this slot order is what reproduces
     the catalog block matrices, and flipping it negates K globally.
@@ -105,9 +96,6 @@ def hitchin_tensor(omega: DifferentialForm, vol: DifferentialForm | None = None)
     chart = omega.chart
     if chart.dim != 6 or omega.degree != 3:
         raise ValueError("tensor construction needs a 3-form on a 6-dimensional chart")
-    if vol is None:
-        vol = volume_form(chart)
-    vcoeff = _vol_coefficient(vol)
     full = tuple(range(6))
     one = ScalarField.constant(chart, 1.0)
     zero = ScalarField.constant(chart, 0.0)
@@ -120,46 +108,21 @@ def hitchin_tensor(omega: DifferentialForm, vol: DifferentialForm | None = None)
             probe = DifferentialForm(chart, 1, {(j,): one})
             entry = wedge(probe, five).coeff(full)
             if not entry.is_zero:
-                rows[j][i] = entry / vcoeff
+                rows[j][i] = entry
     return OperatorField(chart, tuple(tuple(r) for r in rows))
 
 
-def hitchin_pfaffian(
-    omega: DifferentialForm,
-    vol: DifferentialForm | None = None,
-    points: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-10,
-) -> ScalarField:
+def hitchin_pfaffian(omega: DifferentialForm) -> ScalarField:
     """Scalar invariant lambda = trace(K^2)/6.
 
-    When sample points are supplied, the proportionality K^2 = lambda * Id
-    is asserted at each of them; a violation beyond the tolerance raises
-    NondegeneracyViolation. lambda = 0 is legal here (degenerate form) and
-    only blocks downstream constructions that divide by it.
+    lambda = 0 is legal here (degenerate form) and only blocks downstream
+    constructions that divide by it.
     """
-    tensor = hitchin_tensor(omega, vol)
-    return _pfaffian_of(tensor, points, tol)
+    return _pfaffian_of(hitchin_tensor(omega))
 
 
-def _pfaffian_of(
-    tensor: OperatorField,
-    points: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-10,
-) -> ScalarField:
-    square = tensor @ tensor
-    lam = square.trace() * (1.0 / 6.0)
-    if points is not None and len(points):
-        with np.errstate(all="ignore"):
-            sq, lv = stacked(points, square, lam)
-            scale = np.fmax(1.0, np.max(np.abs(sq), axis=(1, 2)))
-            defect = np.max(np.abs(sq - lv[:, np.newaxis, np.newaxis] * np.eye(6)), axis=(1, 2))
-        violated = defect > tol * scale
-        if violated.any():
-            p = points[int(violated.argmax())]
-            raise NondegeneracyViolation(
-                f"operator square is not proportional to the identity at {tuple(p)}"
-            )
-    return lam
+def _pfaffian_of(tensor: OperatorField) -> ScalarField:
+    return (tensor @ tensor).trace() * (1.0 / 6.0)
 
 
 def _inv_sqrt_abs(field: ScalarField) -> ScalarField:
@@ -170,27 +133,18 @@ def _inv_sqrt_abs(field: ScalarField) -> ScalarField:
     return ScalarField.constant(field.chart, 1.0) / sqrt(absval(field))
 
 
-def lr_metric6(
-    omega: DifferentialForm,
-    big_omega: DifferentialForm,
-    vol: DifferentialForm | None = None,
-    normalized: bool = False,
-) -> SymmetricTensorField:
+def lr_metric6(omega: DifferentialForm, big_omega: DifferentialForm) -> SymmetricTensorField:
     """Symmetric pairing g(X, Y) = -(i_X(omega) ^ i_Y(omega) ^ Omega)/vol.
 
     The leading minus is part of the convention of record: it makes the
     unit-Hessian structure produce the off-diagonal identity pairing and
-    the vortex family produce signature (3, 3). With normalized=True the
-    result is divided by sqrt(|lambda|).
+    the vortex family produce signature (3, 3).
     """
     chart = omega.chart
     if chart.dim != 6 or omega.degree != 3:
         raise ValueError("metric construction needs a 3-form on a 6-dimensional chart")
     if big_omega.chart != chart or big_omega.degree != 2:
         raise ValueError("the symplectic companion must be a 2-form on the same chart")
-    if vol is None:
-        vol = volume_form(chart)
-    vcoeff = _vol_coefficient(vol)
     full = tuple(range(6))
     zero = ScalarField.constant(chart, 0.0)
     slots = [interior_product(VectorField.basis(chart, i), omega) for i in range(6)]
@@ -202,15 +156,9 @@ def lr_metric6(
             entry = wedge(wedge(slots[i], slots[j]), big_omega).coeff(full)
             if entry.is_zero:
                 continue
-            entry = -entry / vcoeff
+            entry = -entry
             rows[i][j] = entry
             rows[j][i] = entry
-    if normalized:
-        lam = hitchin_pfaffian(omega, vol)
-        if lam.is_zero:
-            raise NondegeneracyViolation("invariant vanishes identically; cannot normalize")
-        scale = _inv_sqrt_abs(lam)
-        rows = [[e * scale for e in row] for row in rows]
     return SymmetricTensorField(chart, tuple(tuple(r) for r in rows))
 
 
@@ -218,58 +166,19 @@ def lr_compatibility(
     omega: DifferentialForm,
     big_omega: DifferentialForm,
     points: Sequence[Sequence[float]],
-    vol: DifferentialForm | None = None,
     tol: float = 1e-10,
 ) -> dict:
-    """Residual of g(A X, Y) = Omega(X, Y) with A = -sign(lambda) K/sqrt(|lambda|).
-
-    The metric enters normalized by sqrt(|lambda|); the single sign constant
-    is frozen against the unit-Hessian structure. Equivalent polynomial-exact
-    statement: g(K X, Y) = -lambda * Omega(X, Y). Points where |lambda| falls
-    below the tolerance are flagged as degenerate and skipped.
-    """
-    tensor = hitchin_tensor(omega, vol)
-    return _compatibility(
-        tensor, _pfaffian_of(tensor), lr_metric6(omega, big_omega, vol), big_omega, points, tol
-    )
+    """``compatibility`` of the structure (omega, big_omega)."""
+    return MAStructure6(omega.chart, omega, big_omega).compatibility(points, tol)
 
 
-def _compatibility(
-    tensor: OperatorField,
-    lam: ScalarField,
-    metric: SymmetricTensorField,
-    big_omega: DifferentialForm,
-    points: Sequence[Sequence[float]],
-    tol: float,
-) -> dict:
-    degenerate = []
-
-    def residual(sample, lv, kmat, gmat, bmat):
-        skip = np.abs(lv) < tol
-        degenerate.extend(tuple(float(c) for c in p) for p in sample[skip])
-        root = np.sqrt(np.abs(lv))[:, np.newaxis, np.newaxis]
-        amat = -np.copysign(1.0, lv)[:, np.newaxis, np.newaxis] * kmat / root
-        gnorm = gmat / root
-        out = np.swapaxes(amat, 1, 2) @ gnorm - bmat
-        out[skip] = 0.0
-        return out
-
-    worst = sampled_max(points, residual, lam, tensor, metric, big_omega).value
-    return {
-        "max_residual": worst,
-        "samples": len(points),
-        "degenerate_points": degenerate,
-        "passed": worst < tol and not degenerate,
-    }
-
-
-def hitchin_dual(omega: DifferentialForm, vol: DifferentialForm | None = None) -> DifferentialForm:
+def hitchin_dual(omega: DifferentialForm) -> DifferentialForm:
     """Companion 3-form |lambda|^(-1/2) * omega(K X, Y, Z).
 
     K acts on the first slot only. For the vortex family this splits the
     form into two decomposable pieces via sum and difference.
     """
-    tensor = hitchin_tensor(omega, vol)
+    tensor = hitchin_tensor(omega)
     return _dual_of(omega, tensor, _pfaffian_of(tensor))
 
 
@@ -299,19 +208,17 @@ def integrability6(
     omega: DifferentialForm,
     big_omega: DifferentialForm,
     points: Sequence[Sequence[float]],
-    vol: DifferentialForm | None = None,
     tol: float = 1e-10,
-    flatness_points: Sequence[Sequence[float]] | None = None,
 ) -> dict:
     """Closure of the rescaled form and of its dual, plus metric flatness.
 
     The form is rescaled by |lambda|^(-1/4) before both closure checks.
-    Flatness of the unnormalized metric is sampled through the curvature
-    module. The verdict is the conjunction of the three checks.
+    Flatness of the metric is sampled through the curvature module. The
+    verdict is the conjunction of the three checks.
     """
     from .curvature import flatness_verdict
 
-    lam = hitchin_pfaffian(omega, vol)
+    lam = hitchin_pfaffian(omega)
     if lam.is_zero:
         raise NondegeneracyViolation("invariant vanishes identically")
     quarter = _inv_sqrt_abs(lam)
@@ -321,12 +228,11 @@ def integrability6(
     else:
         scale = sqrt(quarter)
     omega_n = omega * scale
-    dual_n = hitchin_dual(omega_n, vol)
+    dual_n = hitchin_dual(omega_n)
     closure, dual_closure = sup_norms(
         points, ext_derivative(omega_n), ext_derivative(dual_n)
     )
-    metric = lr_metric6(omega, big_omega, vol)
-    flat = flatness_verdict(metric, flatness_points if flatness_points is not None else points)
+    flat = flatness_verdict(lr_metric6(omega, big_omega), points)
     passed = closure < tol and dual_closure < tol and flat["verdict"] == "Flat"
     return {
         "closure_residual": closure,
@@ -350,10 +256,6 @@ class MAStructure6:
         if self.omega.degree != 3 or self.big_omega.degree != 2:
             raise ValueError("structure needs a 3-form and a 2-form")
 
-    @property
-    def vol(self) -> DifferentialForm:
-        return volume_form(self.chart)
-
     def effectivity(self) -> DifferentialForm:
         """omega ^ Omega; identically zero exactly when omega is effective."""
         return wedge(self.omega, self.big_omega)
@@ -367,29 +269,45 @@ class MAStructure6:
         return _pfaffian_of(self.tensor)
 
     @cached_property
-    def _metric(self) -> SymmetricTensorField:
+    def metric(self) -> SymmetricTensorField:
         return lr_metric6(self.omega, self.big_omega)
-
-    def metric(self, normalized: bool = False) -> SymmetricTensorField:
-        if normalized:
-            return lr_metric6(self.omega, self.big_omega, normalized=True)
-        return self._metric
 
     def dual(self) -> DifferentialForm:
         return _dual_of(self.omega, self.tensor, self.pfaffian)
 
     def compatibility(self, points: Sequence[Sequence[float]], tol: float = 1e-10) -> dict:
-        return _compatibility(self.tensor, self.pfaffian, self.metric(), self.big_omega, points, tol)
+        """Residual of g(A X, Y) = Omega(X, Y) with A = -sign(lambda) K/sqrt(|lambda|).
 
-    def integrability(
-        self,
-        points: Sequence[Sequence[float]],
-        tol: float = 1e-10,
-        flatness_points: Sequence[Sequence[float]] | None = None,
-    ) -> dict:
-        return integrability6(
-            self.omega, self.big_omega, points, tol=tol, flatness_points=flatness_points
-        )
+        The metric enters normalized by sqrt(|lambda|); the single sign
+        constant is frozen against the unit-Hessian structure. Equivalent
+        polynomial-exact statement: g(K X, Y) = -lambda * Omega(X, Y). Points
+        where |lambda| falls below the tolerance are flagged as degenerate
+        and skipped.
+        """
+        degenerate = []
+
+        def residual(sample, lv, kmat, gmat, bmat):
+            skip = np.abs(lv) < tol
+            degenerate.extend(tuple(float(c) for c in p) for p in sample[skip])
+            root = np.sqrt(np.abs(lv))[:, np.newaxis, np.newaxis]
+            amat = -np.copysign(1.0, lv)[:, np.newaxis, np.newaxis] * kmat / root
+            gnorm = gmat / root
+            out = np.swapaxes(amat, 1, 2) @ gnorm - bmat
+            out[skip] = 0.0
+            return out
+
+        worst = sampled_max(
+            points, residual, self.pfaffian, self.tensor, self.metric, self.big_omega
+        ).value
+        return {
+            "max_residual": worst,
+            "samples": len(points),
+            "degenerate_points": degenerate,
+            "passed": worst < tol and not degenerate,
+        }
+
+    def integrability(self, points: Sequence[Sequence[float]], tol: float = 1e-10) -> dict:
+        return integrability6(self.omega, self.big_omega, points, tol=tol)
 
 
 def hessian_one_structure(chart: Chart | None = None) -> MAStructure6:

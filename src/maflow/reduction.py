@@ -129,22 +129,14 @@ def check_invariance(
     return {"structural": structural, "max_residual": residual, "passed": residual < 1e-10}
 
 
-def reduce_form(
-    form: DifferentialForm,
-    action: TranslationAction,
-    points: Sequence[Sequence[float]] | None = None,
-    tol: float = 1e-10,
-) -> DifferentialForm:
-    """Reduced form on the quotient chart: pullback of i_X(form) to the slice."""
-    lie = lie_derivative(action.generator, form)
-    if not lie.is_zero:
-        if points is None:
-            raise InvarianceError("form is not structurally invariant; supply sample points")
-        peak = sampled_max(points, lambda sample, values: values, list(lie.terms.values()))
-        if peak.value >= tol:
-            raise InvarianceError(
-                f"form is not invariant: residual {peak.value:.3e} at {peak.witness}"
-            )
+def reduce_form(form: DifferentialForm, action: TranslationAction) -> DifferentialForm:
+    """Reduced form on the quotient chart: pullback of i_X(form) to the slice.
+
+    The Lie derivative of the form along the generator must vanish
+    structurally; ``check_invariance`` samples one that does not.
+    """
+    if not lie_derivative(action.generator, form).is_zero:
+        raise InvarianceError("form is not structurally invariant under the action")
     return pullback(interior_product(action.generator, form), action.slice_map)
 
 

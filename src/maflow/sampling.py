@@ -26,16 +26,10 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
 
 
-def sample_points(
-    dim: int,
-    count: int = DEFAULT_SAMPLES,
-    seed: int = DEFAULT_SEED,
-    low: float = -1.0,
-    high: float = 1.0,
-) -> np.ndarray:
-    """Uniform points in a box, reproducible for a given seed."""
+def sample_points(dim: int, count: int = DEFAULT_SAMPLES, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Uniform points in the box [-1, 1]^dim, reproducible for a given seed."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(low, high, size=(count, dim))
+    return rng.uniform(-1.0, 1.0, size=(count, dim))
 
 
 def run_points(dim: int, config: RunConfig, count: int | None = None) -> list[tuple[float, ...]]:

@@ -85,7 +85,7 @@ def test_criterion_04_six_dimensional_invariants():
     points = pts(6, 30)
     s = ma6.burgers_structure("x1^2 + x2^2")
     a = parse_field("x1^2 + x2^2", s.chart)
-    g = s.metric()
+    g = s.metric
     worst = 0.0
     for p in points:
         av = a.eval(p)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from maflow import fluids, ma6
-from maflow.exterior import DifferentialForm, VectorField, pullback, sup_norm, wedge
+from maflow.exterior import DifferentialForm, VectorField, pullback, sampled_max, sup_norm, wedge
 from maflow.fieldexpr import parse_field
 from maflow.sampling import sample_points
 
@@ -54,14 +54,19 @@ def test_unit_hessian_and_special_lagrangian_invariants():
 
 
 def test_square_proportionality_guard():
+    # K^2 = lambda Id at every sample point
     s = ma6.burgers_structure("1 + x1^2")
-    lam = ma6.hitchin_pfaffian(s.omega, points=PTS6[:5])
-    assert lam.eval(PTS6[0]) == pytest.approx(1.0, abs=1e-13)
+    defect = sampled_max(
+        PTS6, lambda _, sq, lv: sq - lv[:, np.newaxis, np.newaxis] * np.eye(6),
+        s.tensor @ s.tensor, s.pfaffian,
+    )
+    assert defect.value < 1e-12
+    assert s.pfaffian.eval(PTS6[0]) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_vortex_metric_matrix_and_signature():
     s = ma6.burgers_structure("x1^2 + x2^2")
-    g = s.metric()
+    g = s.metric
     for p in PTS6[:10]:
         a = p[0] ** 2 + p[1] ** 2
         assert np.allclose(g.eval(p), vortex_metric_target(a), atol=1e-13)
@@ -73,10 +78,11 @@ def test_vortex_metric_matrix_and_signature():
 
 def test_special_lagrangian_metric():
     sl = ma6.special_lagrangian_structure()
-    g = sl.metric()
+    g = sl.metric
     assert np.allclose(g.eval(PTS6[0]), 2.0 * np.eye(6), atol=1e-13)
-    n = sl.metric(normalized=True)
-    assert np.allclose(n.eval(PTS6[0]), np.eye(6), atol=1e-13)
+    # normalized by sqrt(|lambda|) the pairing is the identity
+    scale = np.sqrt(abs(sl.pfaffian.eval(PTS6[0])))
+    assert np.allclose(g.eval(PTS6[0]) / scale, np.eye(6), atol=1e-13)
 
 
 def test_compatibility_for_catalog_structures():
@@ -213,12 +219,10 @@ def test_hitchin_builds_the_tensor_and_the_metric_once(monkeypatch, capsys, stru
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert calls == {"hitchin_tensor": 1, "lr_metric6": 1}
-    # the same report as when every step builds its own tensor and metric
-    monkeypatch.setattr(ma6.MAStructure6, "compatibility", lambda self, points, tol=1e-10:
-                        ma6.lr_compatibility(self.omega, self.big_omega, points, tol=tol))
+    # the same report as when the dual and each metric read build their own
     monkeypatch.setattr(ma6.MAStructure6, "dual", lambda self: ma6.hitchin_dual(self.omega))
-    monkeypatch.setattr(ma6.MAStructure6, "metric", lambda self, normalized=False:
-                        ma6.lr_metric6(self.omega, self.big_omega, normalized=normalized))
+    monkeypatch.setattr(ma6.MAStructure6, "metric", property(lambda self:
+                        ma6.lr_metric6(self.omega, self.big_omega)))
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == out
-    assert calls == {"hitchin_tensor": 4, "lr_metric6": 3}
+    assert calls == {"hitchin_tensor": 3, "lr_metric6": 3}

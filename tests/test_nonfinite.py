@@ -12,7 +12,7 @@ from maflow import cli
 from maflow.exterior import signatures, sup_norm
 from maflow.fieldexpr import Chart, DomainError, ExprSyntaxError, parse_field
 from maflow.fieldexpr.nodes import fmt_number
-from maflow.ma4 import flow_structure
+from maflow.ma4 import flow_structure, verify_generalized_solution
 from maflow.sampling import sample_points
 
 
@@ -73,9 +73,13 @@ def test_folded_overflow_fails_the_triple_algebra(capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_folded_overflow_fails_the_euler_pair(capsys):
+@pytest.mark.parametrize("text", [
+    pytest.param("1e300*1e300", id="inf"),
+    pytest.param("1e300*1e300 - 1e300*1e300", id="nan"),
+])
+def test_folded_overflow_fails_the_euler_pair(capsys, text):
     code, out = run_cli(
-        capsys, "hitchin", "--structure", "euler-pair", "--a", "1e300*1e300",
+        capsys, "hitchin", "--structure", "euler-pair", "--a", text,
         "--samples", "10", "--json",
     )
     assert code == 1
@@ -97,6 +101,16 @@ def test_folded_overflow_fails_the_shear_straightening(capsys):
     for name in ("residual-oc", "residual-o0"):
         assert not checks[name]["passed"]
         assert checks[name]["residual"] == math.inf
+
+
+def test_a_nan_coefficient_breaks_the_signature_dichotomy():
+    # classify_value gives a point whose coefficient is not finite no type
+    psi = parse_field("0.75*x1^2 + 0.5*x1*x2 + 0.5*x2^2", Chart(("x1", "x2")))
+    structure = flow_structure("1e300*1e300 - 1e300*1e300")
+    out = verify_generalized_solution(structure, psi, sample_points(2, 5, 0))
+    assert all(math.isnan(row["a"]) for row in out["signatures"])
+    assert not out["signature_dichotomy"]
+    assert not out["passed"]
 
 
 def test_classify_rejects_an_infinite_coefficient(capsys):
