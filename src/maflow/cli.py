@@ -158,12 +158,11 @@ def cmd_triple(args: argparse.Namespace, config: RunConfig) -> Report:
     if not kept:
         raise InputSpecError("coefficient vanishes on the whole sample; nothing to check")
     tol = config.tol if config.tol is not None else 1e-10
-    out = ma4.triple_relations(structure, kept, tol=tol)
+    residuals = ma4.triple_relations(structure, kept)
     report = Report("triple", seed=config.seed, samples=config.samples)
     report.inputs = {"a": args.a}
-    for name in sorted(out["residuals"]):
-        residual = out["residuals"][name]
-        report.add(CheckResult(name, residual < tol, residual, tol))
+    for name in sorted(residuals):
+        report.add(CheckResult(name, residuals[name], tol))
     note = ma4.integrability(structure, kept)
     report.data = {
         "points_used": len(kept),
@@ -175,7 +174,7 @@ def cmd_triple(args: argparse.Namespace, config: RunConfig) -> Report:
             "note": note["note"],
         },
         "display": [
-            f"triple algebra max residual = {out['max_residual']}",
+            f"triple algebra max residual = {max(residuals.values())}",
             f"integrable: {note['integrable']} ({note['note']})",
         ],
     }
@@ -189,10 +188,9 @@ def cmd_hitchin(args: argparse.Namespace, config: RunConfig) -> Report:
     if args.structure == "euler-pair":
         pair = catalog.structure6("euler-pair", args.a)
         tol = config.tol if config.tol is not None else 1e-12
-        rel = ma6.euler_pair_relations(pair, points, tol=tol)
+        rel = ma6.euler_pair_relations(pair, points)
         for name in sorted(rel["residuals"]):
-            residual = rel["residuals"][name]
-            report.add(CheckResult(name, residual < tol, residual, tol))
+            report.add(CheckResult(name, rel["residuals"][name], tol))
         report.data = {
             "display": [f"pair relations max residual = {rel['max_residual']}"]
         }
@@ -205,10 +203,10 @@ def cmd_hitchin(args: argparse.Namespace, config: RunConfig) -> Report:
     report.add(
         CheckResult(
             "metric-tensor-compatibility",
-            compat["passed"],
             compat["max_residual"],
             tol,
             {"degenerate_points": len(compat["degenerate_points"])},
+            holds=not compat["degenerate_points"],
         )
     )
     base_point = points[0]
@@ -239,7 +237,7 @@ def cmd_reduce(args: argparse.Namespace, config: RunConfig) -> Report:
         expected = DifferentialForm.build(chart, 2, [((1, 2), -1.0), ((0, 3), 1.0)])
         points = run_points(4, config)
         residual = sup_norm(red["omega_c"] - expected, points)
-        report.add(CheckResult("reduced-form-display", residual < tol, residual, tol))
+        report.add(CheckResult("reduced-form-display", residual, tol))
         label = red["structure"].classify((0.0, 0.0, 0.0, 0.0)).capitalize()
         report.data = {
             "omega_c": render_form(red["omega_c"]),
@@ -252,11 +250,9 @@ def cmd_reduce(args: argparse.Namespace, config: RunConfig) -> Report:
             raise InputSpecError("shear reduction needs --a and --gamma")
         red = reduction.shear_pair_reduction(args.a, args.gamma, args.level)
         points = run_points(4, config)
-        cv = reduction.change_variables_64(
-            red["omega_c"], red["theta_c"], args.gamma, points, tol=tol
-        )
+        cv = reduction.change_variables_64(red["omega_c"], red["theta_c"], args.gamma, points)
         for key in ("residual_tc", "residual_oc", "residual_o0"):
-            report.add(CheckResult(key.replace("_", "-"), cv[key] < tol, cv[key], tol))
+            report.add(CheckResult(key.replace("_", "-"), cv[key], tol))
         report.data = {
             "omega_c": render_form(red["omega_c"]),
             "theta_c": render_form(red["theta_c"]),
@@ -272,7 +268,7 @@ def cmd_reduce(args: argparse.Namespace, config: RunConfig) -> Report:
         if args.a is None:
             raise InputSpecError("the transverse split needs --a")
         points = run_points(6, config)
-        out = reduction.burgers_decomposition(args.a, points, tol=tol)
+        out = reduction.burgers_decomposition(args.a, points)
         for key in (
             "pairing_residual",
             "omega_split_residual",
@@ -280,7 +276,7 @@ def cmd_reduce(args: argparse.Namespace, config: RunConfig) -> Report:
             "reduced_pfaffian_residual",
             "reduced_dual_residual",
         ):
-            report.add(CheckResult(key.replace("_", "-"), out[key] < tol, out[key], tol))
+            report.add(CheckResult(key.replace("_", "-"), out[key], tol))
         report.data = {
             "note": "transverse pieces rescaled by -2a to match the planar pair",
             "display": [
@@ -298,15 +294,14 @@ def cmd_burgers(args: argparse.Namespace, config: RunConfig) -> Report:
     a_field = parse_field(args.dp, chart) * 0.5
     points = run_points(3, config)
     tol = config.tol if config.tol is not None else 1e-10
-    out = fluids.stretched_solution_check(args.gamma, psi, args.c, a_field, points, tol=tol)
+    stages = fluids.stretched_solution_check(args.gamma, psi, args.c, a_field, points)["stages"]
     report = Report("burgers", seed=config.seed, samples=config.samples)
     report.inputs = {"gamma": args.gamma, "psi": args.psi, "dp": args.dp, "c": args.c}
     display = []
     for name in ("i", "ii", "iii"):
-        stage = out["stages"][name]
-        report.add(CheckResult(f"stage-{name}", stage["passed"], stage["residual"], tol))
-        verdict = "PASS" if stage["passed"] else "FAIL"
-        display.append(f"stage ({name}): {verdict} (residual = {stage['residual']})")
+        check = report.add(CheckResult(f"stage-{name}", stages[name], tol))
+        verdict = "PASS" if check.passed else "FAIL"
+        display.append(f"stage ({name}): {verdict} (residual = {stages[name]})")
     report.data = {"display": display}
     return report
 
@@ -317,14 +312,7 @@ def cmd_curvature(args: argparse.Namespace, config: RunConfig) -> Report:
     out = curvature.curvature_report(g, points)
     report = Report("curvature", seed=config.seed, samples=config.samples)
     report.inputs = {"metric": args.metric, "a": args.a}
-    report.add(
-        CheckResult(
-            "ricci-flat",
-            out["verdicts"]["ricci_flat"] == "RicciFlat",
-            out["ricci_max"],
-            out["threshold"],
-        )
-    )
+    report.add(CheckResult("ricci-flat", out["ricci_max"], out["threshold"]))
     flat = out["verdicts"]["flat"]
     witness = out["witnesses"]["riemann"]
     line = f"sampled flatness: {flat}"

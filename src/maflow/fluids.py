@@ -167,7 +167,6 @@ def stretched_solution_check(
     c: float,
     a: ScalarField | str | float,
     points: Sequence[Sequence[float]],
-    tol: float = 1e-10,
 ) -> dict:
     """Three-stage check that a planar stream lifts to a spatial solution.
 
@@ -176,6 +175,7 @@ def stretched_solution_check(
     pressure Poisson equation -trace(M^2) = 2a. Stage (iii): the velocity
     graph annihilates the divergence-form pair with the same coefficient.
     Points are spatial; their first two components sample the plane.
+    ``stages`` maps each stage to its residual.
     """
     plane = psi.chart
     a_field = coefficient_field(a, plane)
@@ -187,23 +187,9 @@ def stretched_solution_check(
     r2 = sup_norm(res_ii, points)
     a6 = lift_plane_field(a_field, velocity_chart())
     pair = euler_pair(a6)
-    graph_report = verify_bilagrangian(pair, flow.velocity, points, tol=tol)
-    stages = {
-        "i": {"residual": r1, "passed": r1 < tol},
-        "ii": {"residual": r2, "passed": r2 < tol},
-        "iii": {
-            "residual": max(
-                graph_report["omega_residual"], graph_report["theta_residual"]
-            ),
-            "passed": graph_report["passed"],
-        },
-    }
-    return {
-        "stages": stages,
-        "flow": flow,
-        "graph_report": graph_report,
-        "passed": all(s["passed"] for s in stages.values()),
-    }
+    graph_report = verify_bilagrangian(pair, flow.velocity, points)
+    r3 = max(graph_report["omega_residual"], graph_report["theta_residual"])
+    return {"stages": {"i": r1, "ii": r2, "iii": r3}, "flow": flow, "graph_report": graph_report}
 
 
 class GridError(ValueError):

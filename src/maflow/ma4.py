@@ -302,11 +302,9 @@ def build_triple(structure: MAStructure4, points: Sequence[Sequence[float]]) -> 
 
 
 def triple_relations(
-    structure: MAStructure4,
-    points: Sequence[Sequence[float]],
-    tol: float = 1e-10,
-) -> dict:
-    """Pointwise residuals of the full triple algebra.
+    structure: MAStructure4, points: Sequence[Sequence[float]]
+) -> dict[str, float]:
+    """Sampled residual of each relation of the full triple algebra, by name.
 
     Checks the six wedge identities relating the squares and cross products
     of the normalized symplectic form, the effective form and its dual; the
@@ -349,15 +347,13 @@ def triple_relations(
         points, residual, list(wedge_fields.values()), t.product, t.almost_complex, t.tangent,
         eps, t.omega, t.omega_hat, t.tilde,
     )
-    residuals = {name: part.value for name, part in peak.parts.items()}
-    return {"residuals": residuals, "max_residual": peak.value, "passed": peak.value < tol}
+    return {name: part.value for name, part in peak.parts.items()}
 
 
-def integrability(
-    structure: MAStructure4,
-    points: Sequence[Sequence[float]],
-    tol: float = 1e-9,
-) -> dict:
+INTEGRABILITY_TOL = 1e-9
+
+
+def integrability(structure: MAStructure4, points: Sequence[Sequence[float]]) -> dict:
     """Closedness of the normalized effective form, sampled pointwise.
 
     The structure is integrable exactly when omega / sqrt(|pfaffian|) is
@@ -378,8 +374,8 @@ def integrability(
         residual = d_coeff = math.inf
     return {
         "max_residual": residual,
-        "integrable": residual < tol,
-        "coefficient_constant": d_coeff < tol,
+        "integrable": residual < INTEGRABILITY_TOL,
+        "coefficient_constant": d_coeff < INTEGRABILITY_TOL,
         "note": "the product operator is integrable for any coefficient",
     }
 
@@ -388,17 +384,17 @@ def verify_generalized_solution(
     structure: MAStructure4,
     psi: ScalarField,
     points: Sequence[Sequence[float]],
-    tol: float = 1e-10,
 ) -> dict:
     """Check that a stream-function graph annihilates both structure forms.
 
     Pulls the symplectic and effective forms back along the section
     (x1, x2) -> (x1, x2, -psi_x2, psi_x1) and measures both residuals on
-    the planar sample. Also returns the induced metric together with its
-    determinant and trace identities (4 a and twice the Laplacian of psi,
-    the first holding on solutions only) and the signature dichotomy by
-    the sign of the coefficient at each point, which a point whose
-    coefficient is not finite breaks.
+    the planar sample; ``passed`` says both are below 1e-10, which a
+    non-finite residual is not. Also returns the induced metric together
+    with its determinant and trace identities (4 a and twice the Laplacian
+    of psi, the first holding on solutions only) and the signature
+    dichotomy by the sign of the coefficient at each point, which a point
+    whose coefficient is not finite breaks.
     """
     fmap = stream_graph_map(psi, structure.chart)
     metric = structure.metric if structure.metric is not None else lr_metric(structure)
@@ -427,11 +423,10 @@ def verify_generalized_solution(
             dichotomy = False
         if av < -1e-10 and sig != (1, 1, 0):
             dichotomy = False
-    passed = omega_res < tol and big_res < tol
     return {
         "omega_residual": omega_res,
         "big_omega_residual": big_res,
-        "passed": passed,
+        "passed": omega_res < 1e-10 and big_res < 1e-10,
         "induced_metric": h,
         "det_identity_residual": det_residual,
         "trace_identity_residual": trace_residual,

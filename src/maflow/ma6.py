@@ -208,13 +208,12 @@ def integrability6(
     omega: DifferentialForm,
     big_omega: DifferentialForm,
     points: Sequence[Sequence[float]],
-    tol: float = 1e-10,
 ) -> dict:
     """Closure of the rescaled form and of its dual, plus metric flatness.
 
     The form is rescaled by |lambda|^(-1/4) before both closure checks.
-    Flatness of the metric is sampled through the curvature module. The
-    verdict is the conjunction of the three checks.
+    Flatness of the metric is sampled through the curvature module and
+    reported with its own verdict.
     """
     from .curvature import flatness_verdict
 
@@ -232,13 +231,10 @@ def integrability6(
     closure, dual_closure = sup_norms(
         points, ext_derivative(omega_n), ext_derivative(dual_n)
     )
-    flat = flatness_verdict(lr_metric6(omega, big_omega), points)
-    passed = closure < tol and dual_closure < tol and flat["verdict"] == "Flat"
     return {
         "closure_residual": closure,
         "dual_closure_residual": dual_closure,
-        "flatness": flat,
-        "passed": passed,
+        "flatness": flatness_verdict(lr_metric6(omega, big_omega), points),
     }
 
 
@@ -281,8 +277,8 @@ class MAStructure6:
         The metric enters normalized by sqrt(|lambda|); the single sign
         constant is frozen against the unit-Hessian structure. Equivalent
         polynomial-exact statement: g(K X, Y) = -lambda * Omega(X, Y). Points
-        where |lambda| falls below the tolerance are flagged as degenerate
-        and skipped.
+        where |lambda| falls below the tolerance are skipped and listed in
+        ``degenerate_points``.
         """
         degenerate = []
 
@@ -303,11 +299,7 @@ class MAStructure6:
             "max_residual": worst,
             "samples": len(points),
             "degenerate_points": degenerate,
-            "passed": worst < tol and not degenerate,
         }
-
-    def integrability(self, points: Sequence[Sequence[float]], tol: float = 1e-10) -> dict:
-        return integrability6(self.omega, self.big_omega, points, tol=tol)
 
 
 def hessian_one_structure(chart: Chart | None = None) -> MAStructure6:
@@ -409,9 +401,7 @@ def pair_metrics(pair: EulerPair6) -> tuple[SymmetricTensorField, SymmetricTenso
     )
 
 
-def euler_pair_relations(
-    pair: EulerPair6, points: Sequence[Sequence[float]], tol: float = 1e-12
-) -> dict:
+def euler_pair_relations(pair: EulerPair6, points: Sequence[Sequence[float]]) -> dict:
     """Pointwise residuals of the block-matrix algebra of the pair.
 
     Checks K_omega^2 = -4a Id, K_theta^2 = 0, the anticommutator -4 Id,
@@ -453,7 +443,7 @@ def euler_pair_relations(
         list(product.terms.values()),
     )
     residuals = {name: part.value for name, part in peak.parts.items()}
-    return {"residuals": residuals, "max_residual": peak.value, "passed": peak.value < tol}
+    return {"residuals": residuals, "max_residual": peak.value}
 
 
 def velocity_graph(u: VectorField, phase: Chart | None = None) -> GraphMap:
@@ -470,9 +460,8 @@ def verify_bilagrangian(
     pair: EulerPair6,
     u: VectorField,
     points: Sequence[Sequence[float]],
-    tol: float = 1e-10,
 ) -> dict:
-    """Pull the pair back along the velocity graph and test both vanish.
+    """Pull the pair back along the velocity graph; both pullbacks should vanish.
 
     Cross-checks the fluid-dynamic reading: the theta pullback equals
     div(u) times the base volume, and for divergence-free u the omega
@@ -487,11 +476,9 @@ def verify_bilagrangian(
     omega_residual, theta_residual, div_residual, pressure_residual = sup_norms(
         points, omega_pull, theta_pull, div, pressure
     )
-    passed = omega_residual < tol and theta_residual < tol
     return {
         "omega_residual": omega_residual,
         "theta_residual": theta_residual,
         "div_residual": div_residual,
         "pressure_residual": pressure_residual,
-        "passed": passed,
     }

@@ -10,16 +10,26 @@ REPORT_VERSION = 1
 
 @dataclass
 class CheckResult:
-    """One named numeric check with its residual and tolerance."""
+    """One named numeric check with its residual and tolerance.
+
+    This is the one place a verdict is made: the check passes when
+    ``holds`` and its residual, if it has one, is below the tolerance. A
+    NaN or inf residual is never below it, so it fails. ``holds`` carries
+    the conditions that are not a residual, such as a signature.
+    """
 
     name: str
-    passed: bool
     residual: float | None = None
     tolerance: float | None = None
     detail: dict = field(default_factory=dict)
+    holds: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.holds and (self.residual is None or self.residual < self.tolerance))
 
     def to_dict(self) -> dict:
-        out: dict = {"name": self.name, "passed": bool(self.passed)}
+        out: dict = {"name": self.name, "passed": self.passed}
         if self.residual is not None:
             out["residual"] = float(self.residual)
         if self.tolerance is not None:

@@ -106,8 +106,8 @@ def assert_batches_match_points(calls):
 @pytest.mark.parametrize("coeff", ["1", "-2", "1 + x1^2", "sin(x1)*exp(x2) - u1*x2"])
 def test_triple_relations_fields_match_points(recorded, coeff):
     points = [tuple(p) for p in np.random.default_rng(3).uniform(-1.0, 1.0, size=(20, 4))]
-    out = ma4.triple_relations(ma4.flow_structure(coeff), points)
-    assert out["passed"]
+    residuals = ma4.triple_relations(ma4.flow_structure(coeff), points)
+    assert max(residuals.values()) < 1e-10
     assert_batches_match_points(recorded)
 
 
@@ -236,7 +236,7 @@ def reference_sup(item, points):
 
 
 def test_sup_norms_match_each_items_own_sup_norm():
-    points = sample_points(3, 300, 5)  # three slices
+    points = sample_points(3, 2 * BATCH + 44, 5)  # three slices
     points[:, 2] = 0.0
     points[BATCH + 72, 2] = 0.5  # the overflowing item is NaN here only
     f = parse_field("sin(x1)*exp(x2) + x3", SPACE)

@@ -265,6 +265,28 @@ def test_burgers_pass_and_fail(capsys):
     assert "FAIL stage-i" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["triple", "--a", "1 + x1^2"],
+    ["hitchin", "--structure", "euler-pair", "--a", "1 + x1^2"],
+    ["hitchin", "--structure", "burgers-cy", "--a", "1 + x1^2"],
+    ["reduce", "--action", "laplace3d"],
+    ["reduce", "--action", "shear", "--a", "x1^2 + x2", "--gamma", "1"],
+    ["reduce", "--action", "burgers-split", "--a", "1 + x1^2"],
+    ["burgers", "--gamma", "1", "--psi", "sin(x1)*cos(x2)", "--dp", "x1^2"],
+], ids=lambda argv: " ".join(argv[:3]))
+def test_every_check_is_judged_against_the_tol_override(capsys, argv):
+    # under a zero tolerance no check could pass: it is an input error
+    code, out = run_cli(capsys, *argv, "--samples", "20", "--tol", "0", "--json")
+    assert code == 2 and json.loads(out)["error"]["stage"] == "input"
+    # the smallest positive tolerance passes only an exactly zero residual
+    code, payload = run_json(capsys, *argv, "--samples", "20", "--tol", "5e-324")
+    assert payload["checks"]
+    for check in payload["checks"]:
+        assert check["tolerance"] == 5e-324
+        assert check["passed"] is (check["residual"] == 0.0), check
+    assert code == (0 if payload["passed"] else 1)
+
+
 def test_curvature_command(capsys):
     code, payload = run_json(
         capsys,

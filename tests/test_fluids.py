@@ -82,9 +82,7 @@ def test_vortex_flow_construction():
 def test_three_stage_check_worked_example():
     psi = parse_field("x1^2 + x2^2", PLANE)
     out = fluids.stretched_solution_check(2.0, psi, 0.5, 1.0, PTS3)
-    assert out["passed"], out
-    for stage in ("i", "ii", "iii"):
-        assert out["stages"][stage]["residual"] == 0.0
+    assert out["stages"] == {"i": 0.0, "ii": 0.0, "iii": 0.0}, out
     assert out["graph_report"]["div_residual"] == 0.0
     assert out["graph_report"]["pressure_residual"] == 0.0
 
@@ -92,10 +90,9 @@ def test_three_stage_check_worked_example():
 def test_three_stage_check_flags_wrong_coefficient():
     psi = parse_field("x1^2 + x2^2", PLANE)
     out = fluids.stretched_solution_check(2.0, psi, 0.5, 2.0, PTS3)
-    assert not out["passed"]
-    assert out["stages"]["i"]["residual"] == pytest.approx(1.0, abs=1e-14)
-    assert out["stages"]["ii"]["residual"] == pytest.approx(2.0, abs=1e-14)
-    assert not out["stages"]["iii"]["passed"]
+    assert out["stages"]["i"] == pytest.approx(1.0, abs=1e-14)
+    assert out["stages"]["ii"] == pytest.approx(2.0, abs=1e-14)
+    assert not out["stages"]["iii"] < 1e-10
 
 
 def test_three_stage_check_randomized():
@@ -112,7 +109,7 @@ def test_three_stage_check_randomized():
         shear = 0.75 * gamma**2
         a = ma4.hessian_det(psi) - shear
         out = fluids.stretched_solution_check(gamma, psi, float(rng.normal()), a, PTS3)
-        assert out["passed"], out
+        assert max(out["stages"].values()) < 1e-10, out
 
 
 def test_solid_rotation_grid(tmp_path):
