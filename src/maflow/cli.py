@@ -62,7 +62,7 @@ def _parse_grid_spec(text: str) -> list[tuple[float, ...]]:
         axes.append(np.linspace(lo, hi, n))
     mesh = np.meshgrid(*axes, indexing="ij")
     stacked = np.stack([m.ravel() for m in mesh], axis=-1)
-    return [tuple(float(c) for c in row) for row in stacked]
+    return list(map(tuple, stacked.tolist()))
 
 
 def render_form(form: DifferentialForm) -> str:
@@ -199,7 +199,7 @@ def cmd_hitchin(args: argparse.Namespace, config: RunConfig) -> Report:
     tol = config.tol if config.tol is not None else 1e-10
     lam = s.pfaffian
     lam_value = const_value(lam.ast)
-    compat = s.compatibility(points, tol=tol)
+    compat = s.compatibility(points)
     report.add(
         CheckResult(
             "metric-tensor-compatibility",

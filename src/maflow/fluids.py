@@ -13,6 +13,7 @@ loaded from CSV.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -210,23 +211,7 @@ class GridField:
 
 def grid_load(path: str) -> GridField:
     """Read a CSV lattice: header x1,x2[,x3],u1,u2[,u3][,p], row-major rows."""
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise GridError("empty file") from None
-        header = [h.strip() for h in header]
-        rows = []
-        for lineno, raw in enumerate(reader, start=2):
-            if not "".join(raw).strip():
-                continue
-            if len(raw) != len(header):
-                raise GridError(f"row {lineno} has {len(raw)} cells, expected {len(header)}")
-            try:
-                rows.append([float(cell) for cell in raw])
-            except ValueError as exc:
-                raise GridError(f"row {lineno}: {exc}") from None
+    header, data = _read_table(path)
     for dim in (3, 2):
         coords = [f"x{i}" for i in range(1, dim + 1)]
         comps = [f"u{i}" for i in range(1, dim + 1)]
@@ -234,8 +219,61 @@ def grid_load(path: str) -> GridField:
             has_pressure = len(header) == 2 * dim + 1
             if has_pressure and header[-1] != "p":
                 break
-            return _assemble_grid(np.asarray(rows, dtype=float), dim, has_pressure)
+            return _assemble_grid(data, dim, has_pressure)
     raise GridError(f"unrecognized header {header}")
+
+
+def _read_table(path: str) -> tuple[list[str], np.ndarray]:
+    """The stripped header names and the data rows as an (n, width) array.
+
+    A row is a csv record. A row whose cells are all blank is skipped, every
+    other row has one cell per header name, and a cell reads as ``float()``
+    reads it.
+    """
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise GridError("empty file") from None
+        body = handle.read()
+    return [h.strip() for h in header], _parse_rows(body, len(header))
+
+
+def _parse_rows(body: str, width: int) -> np.ndarray:
+    """The data rows below the header, as an (n, width) float array.
+
+    numpy's C parser reads a plain body in one call. It knows neither csv
+    quoting nor rows of blank cells, it lacks ``float()``'s underscores and
+    non-ASCII digits, and it strips the ASCII separators \\x1c-\\x1f as
+    spaces where ``float()`` refuses them. Without those separators and
+    \\v, \\f, ``splitlines`` ends a line where a csv record ends, at \\n,
+    \\r or \\r\\n. A body with a non-ASCII character or one of those six, or
+    one that numpy refuses, is read one csv record at a time; numpy converts
+    a str cell with ``float()``, so the grammar and the error text are
+    ``float()``'s.
+    """
+    if not body or body.isspace():
+        return np.empty((0, width))
+    if body.isascii() and not any(c in body for c in "\v\f\x1c\x1d\x1e\x1f"):
+        try:
+            data = np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if data.shape[1] == width:
+                return data
+    rows = []
+    for lineno, raw in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        if not "".join(raw).strip():
+            continue
+        if len(raw) != width:
+            raise GridError(f"row {lineno} has {len(raw)} cells, expected {width}")
+        try:
+            rows.append(np.array(raw, dtype=float))
+        except ValueError as exc:
+            raise GridError(f"row {lineno}: {exc}") from None
+    return np.array(rows, dtype=float).reshape(len(rows), width)
 
 
 def _assemble_grid(data: np.ndarray, dim: int, has_pressure: bool) -> GridField:

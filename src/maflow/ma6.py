@@ -54,6 +54,9 @@ from .fieldexpr import Chart, ChartError, ScalarField, absval, sqrt
 from .fieldexpr.nodes import const_value
 from .fieldexpr.parse import parse_field
 
+# |lambda| below this is a degenerate point of ``MAStructure6.compatibility``
+DEGENERATE_CUT = 1e-10
+
 
 class NondegeneracyViolation(ValueError):
     """The operator square of a 3-form is not a multiple of the identity,
@@ -166,10 +169,9 @@ def lr_compatibility(
     omega: DifferentialForm,
     big_omega: DifferentialForm,
     points: Sequence[Sequence[float]],
-    tol: float = 1e-10,
 ) -> dict:
     """``compatibility`` of the structure (omega, big_omega)."""
-    return MAStructure6(omega.chart, omega, big_omega).compatibility(points, tol)
+    return MAStructure6(omega.chart, omega, big_omega).compatibility(points)
 
 
 def hitchin_dual(omega: DifferentialForm) -> DifferentialForm:
@@ -271,19 +273,19 @@ class MAStructure6:
     def dual(self) -> DifferentialForm:
         return _dual_of(self.omega, self.tensor, self.pfaffian)
 
-    def compatibility(self, points: Sequence[Sequence[float]], tol: float = 1e-10) -> dict:
+    def compatibility(self, points: Sequence[Sequence[float]]) -> dict:
         """Residual of g(A X, Y) = Omega(X, Y) with A = -sign(lambda) K/sqrt(|lambda|).
 
         The metric enters normalized by sqrt(|lambda|); the single sign
         constant is frozen against the unit-Hessian structure. Equivalent
         polynomial-exact statement: g(K X, Y) = -lambda * Omega(X, Y). Points
-        where |lambda| falls below the tolerance are skipped and listed in
-        ``degenerate_points``.
+        where |lambda| falls below ``DEGENERATE_CUT`` are skipped and listed
+        in ``degenerate_points``.
         """
         degenerate = []
 
         def residual(sample, lv, kmat, gmat, bmat):
-            skip = np.abs(lv) < tol
+            skip = np.abs(lv) < DEGENERATE_CUT
             degenerate.extend(tuple(float(c) for c in p) for p in sample[skip])
             root = np.sqrt(np.abs(lv))[:, np.newaxis, np.newaxis]
             amat = -np.copysign(1.0, lv)[:, np.newaxis, np.newaxis] * kmat / root

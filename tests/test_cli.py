@@ -151,6 +151,18 @@ def test_hitchin_catalog_structures(capsys):
     assert payload["data"]["invariant"] == pytest.approx(-4.0)
 
 
+@pytest.mark.parametrize("structure", ["hess1", "speciallag"])
+def test_hitchin_tol_sets_the_tolerance_and_not_the_degeneracy_cut(capsys, structure):
+    # |lambda| = 1 or 4 everywhere: a loose tolerance still has no degenerate point
+    code, payload = run_json(
+        capsys, "hitchin", "--structure", structure, "--tol", "1e3", "--samples", "100"
+    )
+    assert code == 0
+    check = payload["checks"][0]
+    assert check["passed"] and check["tolerance"] == 1e3
+    assert check["detail"]["degenerate_points"] == 0
+
+
 def test_hitchin_euler_pair(capsys):
     code, payload = run_json(
         capsys,

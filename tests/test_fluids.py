@@ -1,5 +1,7 @@
 """Velocity diagnostics, the three-stage solution check, grid analysis."""
 
+import csv
+
 import numpy as np
 import pytest
 from conftest import (
@@ -178,6 +180,107 @@ def test_grid_load_skips_blank_and_whitespace_rows(tmp_path):
     assert grid.shape == expected.shape
     assert np.array_equal(grid.velocity, expected.velocity)
     assert np.array_equal(grid.pressure, expected.pressure)
+
+
+def reference_table(path):
+    """The csv.reader + float() loop that read lattice files before numpy's
+    parser did, kept as the oracle of ``fluids._read_table``."""
+    with open(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise fluids.GridError("empty file") from None
+        header = [h.strip() for h in header]
+        rows = []
+        for lineno, raw in enumerate(reader, start=2):
+            if not "".join(raw).strip():
+                continue
+            if len(raw) != len(header):
+                raise fluids.GridError(f"row {lineno} has {len(raw)} cells, expected {len(header)}")
+            try:
+                rows.append([float(cell) for cell in raw])
+            except ValueError as exc:
+                raise fluids.GridError(f"row {lineno}: {exc}") from None
+    return header, np.asarray(rows, dtype=float).reshape(len(rows), len(header))
+
+
+def read_both(path):
+    """(header, row bytes) or the GridError text, from the reader and its oracle."""
+    out = []
+    for read in (fluids._read_table, reference_table):
+        try:
+            header, data = read(str(path))
+        except fluids.GridError as exc:
+            out.append(str(exc))
+        else:
+            out.append((header, data.shape, data.tobytes()))
+    return out
+
+
+EDGE_CELLS = [
+    '"1.5"', '" 2.5 "', '"1,5"', '"7"x', '"', '""', " 3 ", "\t4\t", "\u20035\u2003",
+    "nan", "-NaN", "inf", "-Infinity", "1e400", "-0.0", "4.9e-324", "+.5", "1.", "1E+02",
+    "1_000", "1__0", "\u0661\u0662", "\uff13", "#7", "1 # c", "abc", "", " ", "0x10",
+    "1\x00", "\x1c1", "1\x1f", "1\x0b", "\x85", "1e5 x",
+]
+
+
+@pytest.mark.parametrize("cell", EDGE_CELLS)
+def test_each_edge_cell_reads_as_the_csv_and_float_loop_reads_it(tmp_path, cell):
+    path = tmp_path / "cell.csv"
+    path.write_text(f"x1,x2,u1,u2\n0,0,0,0\n1,{cell},2,3\n4,5,6,7\n", newline="")
+    ours, reference = read_both(path)
+    assert ours == reference
+
+
+EDGE_FILES = {
+    "empty": "",
+    "header only": "x1,x2,u1,u2\n",
+    "header without newline": "x1,x2,u1,u2",
+    "blank rows only": "x1,x2,u1,u2\n\n , ,\t, \n,,,\n  \n",
+    "blank and whitespace rows": "x1,x2,u1,u2\n\n0,0,0,0\n , ,\t, \n1,2,3,4\n,,,\n\t\n",
+    "padded cells": "x1,x2,u1,u2\n 0 , 0,0 ,\t0\n1,2,3,4\n",
+    "quoted header": '"x1", x2 ,"u1",u2\n0,0,0,0\n',
+    "quoted newline": 'x1,x2,u1,u2\n0,"1\n2",0,0\n',
+    "short row": "x1,x2,u1,u2\n0,0,0,0\n1,2,3\n",
+    "long row": "x1,x2,u1,u2\n0,0,0,0,0\n",
+    "trailing comma": "x1,x2,u1,u2\n0,0,0,0,\n",
+    "every row short": "x1,x2,u1,u2\n0,0,0\n1,1,1\n",
+    "bad cell before short row": "x1,x2,u1,u2\n0,0,x,0\n1,2\n",
+    "short row before bad cell": "x1,x2,u1,u2\n1,2\n0,0,x,0\n",
+    "crlf": "x1,x2,u1,u2\r\n0,0,0,0\r\n1,2,3,4\r\n",
+    "cr": "x1,x2,u1,u2\r0,0,0,0\r1,2,3,4\r",
+    "empty header": "\n0,0\n",
+    "blank header": "\n\n\n",
+    "comment row": "x1,x2,u1,u2\n# note\n0,0,0,0\n",
+    "non-ASCII blank row": "x1,x2,u1,u2\n\u2003,\x85,,\n0,0,0,0\n",
+    "one column": "x1\n1\n2\n",
+    # str.splitlines ends a line at these, a csv record does not
+    "vertical tab": "x1,x2\n1,2\x0b3,4\n",
+    "form feed": "x1,x2\n1,2\x0c3,4\n",
+    "record separator": "x1,x2\n1,2\x1e3,4\n",
+    "next line": "x1,x2\n1,2\x853,4\n",
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_FILES))
+def test_each_edge_file_reads_as_the_csv_and_float_loop_reads_it(tmp_path, name):
+    path = tmp_path / "edge.csv"
+    path.write_text(EDGE_FILES[name], newline="")
+    ours, reference = read_both(path)
+    assert ours == reference
+
+
+def test_a_lattice_reads_bit_for_bit_as_the_csv_and_float_loop_reads_it(tmp_path):
+    path = taylor_green_csv(tmp_path / "tg.csv", n=32)
+    ours, reference = read_both(path)
+    assert ours == reference
+    # the same lattice with its cells quoted, as csv.QUOTE_ALL writes them
+    lines = open(path).read().splitlines()
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text("\n".join(['"' + ln.replace(",", '","') + '"' for ln in lines]) + "\n")
+    assert read_both(quoted)[0] == ours
 
 
 def test_grid_load_rejects_malformed_input(tmp_path):

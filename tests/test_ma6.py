@@ -91,7 +91,7 @@ def test_compatibility_for_catalog_structures():
         ma6.special_lagrangian_structure(),
         ma6.burgers_structure("1 + x1^2"),
     ):
-        out = s.compatibility(PTS6, tol=1e-10)
+        out = s.compatibility(PTS6)
         assert out["max_residual"] < 1e-12, out
         assert not out["degenerate_points"]
 
