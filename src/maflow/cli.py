@@ -340,12 +340,13 @@ def cmd_grid(args: argparse.Namespace, config: RunConfig) -> Report:
     report = Report("grid")
     report.inputs = {"input": args.input, "full": bool(args.full)}
     counts = out["counts"]
+    div = out["summary"]["div"]
     report.data = dict(out)
     report.data["display"] = [
         f"{grid.dim}d grid {tuple(grid.shape)}, {out['interior_nodes']} interior nodes",
         "counts: "
         + ", ".join(f"{k} {counts[k]}" for k in (ma4.ELLIPTIC, ma4.HYPERBOLIC, ma4.DEGENERATE)),
-        f"max |div| = {out['summary']['div']['max']}",
+        f"max |div| = {max(abs(div['min']), abs(div['max']))}",
     ]
     return report
 

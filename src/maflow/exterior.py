@@ -97,7 +97,7 @@ class DifferentialForm:
         return f if sign > 0 else -f
 
     def coeffs_at(self, point: Sequence[float]) -> dict[tuple[int, ...], float]:
-        return {k: f.eval(point) for k, f in self.terms.items()}
+        return dict(zip(self.terms, eval_many(list(self.terms.values()), [point])[:, 0].tolist()))
 
     def apply(self, point: Sequence[float], *vectors: Sequence[float]) -> float:
         """Evaluate on concrete vectors at a point."""
@@ -105,8 +105,7 @@ class DifferentialForm:
             raise ValueError(f"degree {self.degree} form needs {self.degree} vectors")
         vecs = [np.asarray(v, dtype=float) for v in vectors]
         total = 0.0
-        for key, f in self.terms.items():
-            c = f.eval(point)
+        for key, c in self.coeffs_at(point).items():
             if c == 0.0:
                 continue
             minor = [[vecs[b][key[a]] for b in range(self.degree)] for a in range(self.degree)]
@@ -267,7 +266,7 @@ class VectorField:
         return cls.from_constants(chart, vals)
 
     def eval(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.components])
+        return eval_many(self.components, [point])[:, 0]
 
     def apply(self, f: ScalarField) -> ScalarField:
         """Directional derivative X(f)."""
@@ -356,7 +355,7 @@ class GraphMap:
         ]
 
     def eval(self, point: Sequence[float]) -> np.ndarray:
-        return np.array([c.eval(point) for c in self.components])
+        return eval_many(self.components, [point])[:, 0]
 
 
 def pullback(form: DifferentialForm, chart_map: GraphMap) -> DifferentialForm:

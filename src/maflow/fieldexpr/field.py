@@ -53,29 +53,21 @@ class ScalarField:
         return is_zero(self.ast)
 
     def eval(self, point: Sequence[float]) -> float:
-        pt = self.chart.point(point)
-        try:
-            return evaluate(self.ast, pt, 0)
-        except DomainError as exc:
-            exc.point = pt
-            raise
+        """The value at a point, walked as a one-row sample."""
+        return _item(_at_point(self, point, 0))
 
     def jet(self, point: Sequence[float] | np.ndarray, order: int) -> Jet:
-        """Value and partials up to the order at a point.
+        """Value and partials up to the order at a point, walked as a one-row sample.
 
         Given an (N, dim) array instead, the jet of the whole sample: every
-        partial is a column, bit-identical to the jets of the single points.
+        partial is a column.
         """
         if isinstance(point, np.ndarray) and point.ndim == 2:
             return jets([self], point, order)[0]
         _check_order(order)
-        pt = self.chart.point(point)
-        try:
-            series = evaluate(self.ast, pt, order)
-        except DomainError as exc:
-            exc.point = pt
-            raise
-        return _jet_of(series, self.chart.dim, order)
+        jet = _jet_of(_at_point(self, point, order), self.chart.dim, order)
+        jet.partials = {k: _item(v) for k, v in jet.partials.items()}
+        return jet
 
     def derivative(self, *axes: int | str) -> "ScalarField":
         idx = tuple(a if isinstance(a, int) else self.chart.index(a) for a in axes)
@@ -200,9 +192,9 @@ def eval_many(fields: Sequence[ScalarField], points) -> np.ndarray:
     ``points`` is an (N, dim) array or a sequence of points on the fields'
     chart. Each tree is walked once per ``BATCH`` points, with one memo for
     all the fields, so a node that several fields share runs once. Every
-    value is bit-identical to ``field.eval(point)``. A DomainError is the
-    one that evaluating the fields in order, point by point, raises first;
-    its ``point`` and ``index`` name that sample point.
+    value equals ``field.eval(point)``, a walk over a one-point sample. A
+    DomainError is the one that evaluating the fields in order, point by
+    point, raises first; its ``point`` and ``index`` name that sample point.
     """
     out = np.empty((len(fields), len(points)))
     if not len(fields) or not len(points):
@@ -222,10 +214,10 @@ def jets(fields: Sequence[ScalarField], points, order: int) -> list[Jet]:
     """Jets of the fields over a sample, in one walk with one memo.
 
     ``points`` is an (N, dim) array or a sequence of points on the fields'
-    chart. Every partial is a column, bit-identical to the partial of
-    ``field.jet(point, order)``. A DomainError is the one that the jets of
-    the fields, in order, point by point, raise first; its ``point`` and
-    ``index`` name that sample point.
+    chart. Every partial is a column, whose entries equal the partials of
+    ``field.jet(point, order)`` by construction. A DomainError is the one
+    that the jets of the fields, in order, point by point, raise first; its
+    ``point`` and ``index`` name that sample point.
     """
     _check_order(order)
     if not len(fields):
@@ -238,6 +230,16 @@ def jets(fields: Sequence[ScalarField], points, order: int) -> list[Jet]:
         jet.partials = {k: np.broadcast_to(v, (n,)) for k, v in jet.partials.items()}
         out.append(jet)
     return out
+
+
+def _at_point(field: ScalarField, point: Sequence[float], order: int):
+    """The tree's value or series at one point, walked as a one-row sample."""
+    return _evaluate_batch([field.ast], np.array([field.chart.point(point)]), order)[0]
+
+
+def _item(value) -> float:
+    """A one-entry column, or the float of a part that no coordinate reaches."""
+    return float(value[0]) if isinstance(value, np.ndarray) else float(value)
 
 
 def _check_order(order: int) -> None:
@@ -285,8 +287,8 @@ def _first_failure(
 
     A failing guard reports the first point where it fails, but a guard
     later in the walk may fail at an earlier point: shrink the sample to
-    the points before the failure until it evaluates, then evaluate the
-    trees in order at the next point alone.
+    the points before the failure until it evaluates, then walk the trees
+    in order over the next point, as a one-row sample.
     """
     stop = exc.index or 0
     while stop > 0:
@@ -295,14 +297,12 @@ def _first_failure(
             break
         except DomainError as earlier:
             stop = min(earlier.index or 0, stop - 1)
-    point = tuple(float(c) for c in sample[stop])
-    memo: dict = {}
+    row = sample[stop : stop + 1]
     try:
-        for ast in asts:
-            evaluate(ast, point, order, memo)
+        _walk(asts, row, order)
     except DomainError as first:
         exc = first
-    exc.point, exc.index = point, stop
+    exc.point, exc.index = tuple(float(c) for c in row[0]), stop
     return exc
 
 

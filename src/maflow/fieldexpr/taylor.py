@@ -8,21 +8,18 @@ series order is the true Taylor coefficient of the (piecewise analytic)
 expression; nothing is approximated by differencing.
 
 :func:`evaluate` walks an expression once, with one rule per node type.
-Constants stay plain floats at every order and become a series only when an
-operator meets one, and coordinates are plain floats at order 0, so an
-order-0 evaluation is float arithmetic by construction: a value does not
-depend on whether it was asked for alone or as part of a jet's evaluation.
-
-A point is a tuple of floats or a tuple of float64 columns of shape (N,),
-one column per coordinate; the same rules then carry values and series
-coefficients for the whole sample at once. Elementwise ``+ - * /`` and
-``sqrt`` are correctly rounded in numpy as in Python, and ``sin``, ``cos``,
-``exp`` and ``log`` go through ``math`` element by element, so every element
-of a batch is bit-identical to the evaluation at that point alone. Where the
-scalar path drops a coefficient that is exactly zero at the point, a batch
-keeps it; the two then differ at most in the sign of a zero, or in 0*inf.
-A guard that fails inside a batch raises a :class:`DomainError` whose
-``index`` is the first failing position in the sample.
+A point is a tuple of float64 columns of shape (N,), one per coordinate, so
+the rules carry values and series coefficients for a whole sample at once;
+a single point is a sample of one. Constants stay plain floats at every
+order and become a series only when an operator meets one, and a coordinate
+is its bare column at order 0, so an order-0 evaluation is column arithmetic
+by construction: a value does not depend on whether it was asked for alone
+or as part of a jet's evaluation. Elementwise ``+ - * /`` and ``sqrt`` are
+correctly rounded, and ``sin``, ``cos``, ``exp`` and ``log`` go through
+``math`` element by element, so no element depends on the rest of its
+sample. The float branches of the guards and library rules serve the
+subexpressions that no coordinate reaches. A guard that fails raises a
+:class:`DomainError` whose ``index`` is the first failing position.
 """
 
 from __future__ import annotations
@@ -429,12 +426,13 @@ _RULES = {
 def evaluate(node: Node, point: tuple, order: int, memo: dict | None = None):
     """Value (order 0) or Taylor series (order >= 1) of the expression at the point.
 
-    The point is a tuple of floats, or of float64 columns for a whole sample.
-    A subexpression that does not depend on the coordinates evaluates to a
-    float at every order. ``memo`` maps (id(node), order) to what this point
-    already computed, so a node shared within a tree, or by several trees
-    evaluated with one memo, runs once; it must not outlive the trees. The
-    caller checks ``order <= MAX_ORDER``.
+    The point is a tuple of float64 columns, one per coordinate. A
+    subexpression that does not depend on the coordinates evaluates to a
+    float at every order, and a Compose passes such a part on as a float.
+    ``memo`` maps (id(node), order) to what this point already computed, so
+    a node shared within a tree, or by several trees evaluated with one
+    memo, runs once; it must not outlive the trees. The caller checks
+    ``order <= MAX_ORDER``.
     """
     if memo is None:
         memo = {}

@@ -22,7 +22,7 @@ import numpy as np
 # divergence and trace_m_squared live in exterior, below both ma6 and this
 # module; they stay importable from here with the rest of the flow layer.
 from .exterior import VectorField, divergence, sup_norm, trace_m_squared  # noqa: F401
-from .fieldexpr import Chart, ChartError, ScalarField
+from .fieldexpr import Chart, ChartError, ScalarField, eval_many
 from .ma4 import DEGENERATE, ELLIPTIC, HYPERBOLIC, hessian_det
 from .ma6 import coefficient_field, euler_pair, velocity_chart, verify_bilagrangian
 
@@ -44,10 +44,6 @@ def velocity_gradient(u: VectorField) -> list[list[ScalarField]]:
 def pressure_rhs_field(u: VectorField) -> ScalarField:
     """Right-hand side of the pressure Poisson equation: -trace(M^2)."""
     return -trace_m_squared(u)
-
-
-def pressure_rhs(u: VectorField, point: Sequence[float]) -> float:
-    return pressure_rhs_field(u).eval(point)
 
 
 def vorticity2(u: VectorField) -> ScalarField:
@@ -78,23 +74,21 @@ def weiss_split(u: VectorField, point: Sequence[float]) -> dict:
     free fields. In three dimensions returns the vorticity vector and the
     strain trace; no pointwise identity is asserted.
     """
-    strain = strain_trace_squared(u).eval(point)
-    rhs = pressure_rhs(u, point)
-    if u.chart.dim == 2:
-        zeta = vorticity2(u).eval(point)
-        return {
-            "vorticity": zeta,
-            "strain_sq": strain,
-            "rhs": zeta * zeta / 2.0 - strain,
-            "pressure_rhs": rhs,
-        }
-    if u.chart.dim != 3:
+    dim = u.chart.dim
+    if dim not in (2, 3):
         raise ChartError("split needs a planar or spatial velocity field")
-    grad = velocity_gradient(u)
-    zeta = tuple(
-        grad[k][j].eval(point) - grad[j][k].eval(point)
-        for j, k in ((1, 2), (2, 0), (0, 1))
-    )
+    if dim == 2:
+        spins = [vorticity2(u)]
+    else:
+        grad = velocity_gradient(u)
+        spins = [g for j, k in ((1, 2), (2, 0), (0, 1)) for g in (grad[k][j], grad[j][k])]
+    fields = [strain_trace_squared(u), pressure_rhs_field(u), *spins]
+    strain, rhs, *spin = eval_many(fields, [point])[:, 0].tolist()
+    if dim == 2:
+        zeta = spin[0]
+        rhs_split = zeta * zeta / 2.0 - strain
+        return {"vorticity": zeta, "strain_sq": strain, "rhs": rhs_split, "pressure_rhs": rhs}
+    zeta = tuple(a - b for a, b in zip(spin[::2], spin[1::2]))
     return {"vorticity": zeta, "strain_sq": strain, "rhs": None, "pressure_rhs": rhs}
 
 
@@ -228,7 +222,8 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
 
     A row is a csv record. A row whose cells are all blank is skipped, every
     other row has one cell per header name, and a cell reads as ``float()``
-    reads it.
+    reads it. A record that csv refuses, such as one with a cell over
+    ``csv.field_size_limit()``, is a GridError.
     """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -236,6 +231,8 @@ def _read_table(path: str) -> tuple[list[str], np.ndarray]:
             header = next(reader)
         except StopIteration:
             raise GridError("empty file") from None
+        except csv.Error as exc:
+            raise GridError(f"row 1: {exc}") from None
         body = handle.read()
     return [h.strip() for h in header], _parse_rows(body, len(header))
 
@@ -264,15 +261,19 @@ def _parse_rows(body: str, width: int) -> np.ndarray:
             if data.shape[1] == width:
                 return data
     rows = []
-    for lineno, raw in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
-        if not "".join(raw).strip():
-            continue
-        if len(raw) != width:
-            raise GridError(f"row {lineno} has {len(raw)} cells, expected {width}")
-        try:
-            rows.append(np.array(raw, dtype=float))
-        except ValueError as exc:
-            raise GridError(f"row {lineno}: {exc}") from None
+    lineno = 1
+    try:
+        for lineno, raw in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+            if not "".join(raw).strip():
+                continue
+            if len(raw) != width:
+                raise GridError(f"row {lineno} has {len(raw)} cells, expected {width}")
+            try:
+                rows.append(np.array(raw, dtype=float))
+            except ValueError as exc:
+                raise GridError(f"row {lineno}: {exc}") from None
+    except csv.Error as exc:
+        raise GridError(f"row {lineno + 1}: {exc}") from None
     return np.array(rows, dtype=float).reshape(len(rows), width)
 
 

@@ -29,6 +29,8 @@ from maflow.sampling import sample_points
 PLANE = Chart(("x1", "x2"))
 SPACE = Chart(("x1", "x2", "x3"))
 LINE = [(0.0,), (1.0,), (2.0,), (3.0,)]
+# coordinates of either sign of zero, where a Taylor coefficient can vanish exactly
+SIGNED_ZEROS = [(0.0, -1.0), (-0.0, 0.5), (-0.0, -0.0), (0.5, -0.0)]
 
 
 def same_bytes(batch, single):
@@ -48,7 +50,8 @@ def test_batches_match_points_on_drawn_expressions():
     )
     def check(text, seed, order):
         field = parse_field(text, PLANE)
-        sample = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(12, 2))
+        drawn = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(12, 2))
+        sample = np.concatenate([SIGNED_ZEROS, drawn])
         values = eval_many([field], sample)[0]
         assert same_bytes(values, [field.eval(p) for p in sample]), text
         jets = field.jet(sample, order)
@@ -57,6 +60,9 @@ def test_batches_match_points_on_drawn_expressions():
         for axes, column in jets.partials.items():
             assert same_bytes(column, [j.partials[axes] for j in singles]), (text, axes)
 
+    for text in ("x1*x2", "-x1*x2", "sin(x1)*x2", "x1/(x2+2)*(-1)"):
+        for order in range(4):
+            check = hypothesis.example(text=text, seed=0, order=order)(check)
     check()
 
 

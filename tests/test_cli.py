@@ -4,8 +4,9 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
-from conftest import solid_rotation_csv
+from conftest import solid_rotation_csv, write_grid_csv
 
 from maflow import cli
 
@@ -344,6 +345,36 @@ def test_grid_command(tmp_path, capsys):
     code, out = run_cli(capsys, "grid", "--input", str(bad))
     assert code == 2
     assert "unrecognized header" in json.loads(out)["error"]["message"]
+
+
+def test_grid_display_prints_the_largest_divergence_modulus(tmp_path, capsys):
+    # u = (-x1^2, 0) on [0, 1]^2: div = -2 x1, negative at every interior node
+    ax = np.linspace(0.0, 1.0, 8)
+    path = write_grid_csv(
+        tmp_path / "sink.csv", [ax, ax], [lambda x, y: -x * x, lambda x, y: 0.0 * y]
+    )
+    code, payload = run_json(capsys, "grid", "--input", path, "--full")
+    assert code == 0
+    assert payload["data"]["summary"]["div"]["max"] < 0.0
+    largest = max(abs(node["div"]) for node in payload["data"]["nodes"])
+    assert largest > 1.0
+    assert payload["data"]["display"][-1] == f"max |div| = {largest}"
+
+
+@pytest.mark.parametrize("row", [0, 3])
+def test_grid_input_with_a_cell_over_the_csv_field_limit_is_an_input_error(tmp_path, capsys, row):
+    source = solid_rotation_csv(tmp_path / "solid.csv", n=6)
+    lines = open(source).read().splitlines()
+    cells = lines[row].split(",")
+    cells[1] = '"' + "1" * 200_000 + '"'
+    lines[row] = ",".join(cells)
+    path = tmp_path / "oversized.csv"
+    path.write_text("\n".join(lines) + "\n")
+    code, out = run_cli(capsys, "grid", "--input", str(path), "--json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["stage"] == "input"
+    assert error["message"] == f"row {row + 1}: field larger than field limit (131072)"
 
 
 def test_output_file_matches_json_stdout(tmp_path, capsys):

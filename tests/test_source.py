@@ -1,4 +1,5 @@
-"""Source hygiene: every module under src/maflow uses the names it imports."""
+"""Source hygiene: every module under src/maflow uses the names it imports, and
+only the column walk and the exponent fold call the evaluator."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,40 @@ def test_every_import_is_used(path):
 def test_the_check_sees_an_unused_import_and_honours_noqa():
     source = "import math\nfrom os import path, sep  # noqa: F401\nfrom sys import argv\nargv\n"
     assert unused_imports(source) == ["math (line 1)"]
+
+
+def evaluator_calls(path: Path) -> set[tuple[str, str]]:
+    """(module, enclosing function) of each call of ``taylor.evaluate`` in a module."""
+    tree = ast.parse(path.read_text())
+    names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "taylor"
+        for alias in node.names
+        if alias.name == "evaluate"
+    }
+    module = str(path.relative_to(PACKAGE))
+    calls = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if (isinstance(callee, ast.Name) and callee.id in names) or (
+                isinstance(callee, ast.Attribute)
+                and callee.attr == "evaluate"
+                and isinstance(callee.value, ast.Name)
+                and callee.value.id == "taylor"
+            ):
+                calls.add((module, func.name))
+    return calls
+
+
+def test_a_point_reaches_the_evaluator_only_as_a_one_row_sample():
+    """Only the column walk and the parser's constant-exponent fold call
+    ``taylor.evaluate``, so no per-point float walk can come back."""
+    modules = [p for p in PACKAGE.rglob("*.py") if p.name != "taylor.py"]
+    calls = set().union(*map(evaluator_calls, modules))
+    assert calls == {("fieldexpr/field.py", "_walk"), ("fieldexpr/parse.py", "power")}
